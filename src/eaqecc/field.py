@@ -253,14 +253,8 @@ class GF:
     def vadd(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.add_table[x, y]
 
-    def vsub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.sub_table[x, y]
-
     def vmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.mul_table[x, y]
-
-    def vneg(self, x: np.ndarray) -> np.ndarray:
-        return self.neg_table[x]
 
     def vsum(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Field sum along a nonnegative axis, via base-p digit arithmetic."""

@@ -25,11 +25,19 @@ class GfMatrix:
     __slots__ = ("field", "array", "_rref")
 
     def __init__(self, field: GF, data) -> None:
-        arr = np.array(data, dtype=_DTYPE)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-D, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ValueError(f"matrix entries must be codes in 0..{field.q - 1}")
+        if arr.size:
+            # Bools, floats and objects would be coerced silently, and an
+            # out-of-range integer would wrap on the cast below.
+            if arr.dtype.kind not in "iu":
+                raise ValueError(
+                    f"matrix entries must be integers, got dtype {arr.dtype}")
+            if arr.min() < 0 or arr.max() >= field.q:
+                raise ValueError(
+                    f"matrix entries must be codes in 0..{field.q - 1}")
+        arr = arr.astype(_DTYPE)
         arr.setflags(write=False)
         self.field = field
         self.array = arr
@@ -53,9 +61,6 @@ class GfMatrix:
 
     def is_zero(self) -> bool:
         return not self.array.any()
-
-    def row(self, i: int) -> np.ndarray:
-        return self.array[i]
 
     def transpose(self) -> "GfMatrix":
         return GfMatrix(self.field, self.array.T.copy())
@@ -135,13 +140,14 @@ class GfMatrix:
         prods = f.mul_table[self.array[:, :, None], other.array[None, :, :]]
         return GfMatrix(f, f.vsum(prods, axis=1))
 
-    def row_space_contains(self, vectors) -> np.ndarray:
-        """Boolean mask: which of the given row vectors lie in the row space."""
+    def remainders(self, x: np.ndarray) -> np.ndarray:
+        """The rows of a 2-D code array reduced modulo the row space.
+
+        Each row loses its component along the canonical basis, so a
+        remainder is zero at every pivot column, and zero everywhere iff
+        its row lies in the row space.
+        """
         f = self.field
-        x = np.array(vectors, dtype=_DTYPE)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
         if x.shape[1] != self.cols:
             raise ValueError(f"vectors must have {self.cols} columns")
         reduced, pivots = self.rref()
@@ -150,7 +156,15 @@ class GfMatrix:
             if coef.any():
                 x = f.sub_table[x, f.mul_table[coef[:, None],
                                                reduced.array[k][None, :]]]
-        mask = ~x.any(axis=1)
+        return x
+
+    def row_space_contains(self, vectors) -> np.ndarray:
+        """Boolean mask: which of the given row vectors lie in the row space."""
+        x = np.array(vectors, dtype=_DTYPE)
+        single = x.ndim == 1
+        if single:
+            x = x[None, :]
+        mask = ~self.remainders(x).any(axis=1)
         return mask if not single else mask[:1]
 
     # ------------------------------------------------------------------

@@ -16,7 +16,20 @@ zero vector.  Both are reported, since they can differ when c > 0.
 
 Weight minima are found by exhaustive codeword enumeration, guarded by a
 codeword cap (default 2^22) so that accidental large runs fail fast with
-a CapExceededError instead of hanging.
+a CapExceededError instead of hanging.  A minimum outside a subcode M
+(the zero code by default) enumerates the code in a coset basis [M; R]:
+the canonical basis of M, then an echelon basis R of the code's rows
+reduced modulo M.  A codeword lies outside M exactly when one of its R
+coefficients is nonzero, so the words of each block that lie outside M
+follow from their coefficient indices, with no membership test, and one
+pass yields both the minimum over the nonzero words and the minimum
+outside M.  `params` therefore enumerates the dual once.
+
+Over GF(2) each vector (a|b) is packed into uint64 words, 32 positions
+per word with a in the low half and b in the high half; a block of 2^16
+words is built by XOR doubling, the blocks follow each other in
+Gray-code order (one XOR per step), and weights are population counts.
+Other fields combine int16 element codes through the field's tables.
 """
 
 from __future__ import annotations
@@ -35,7 +48,10 @@ from .matrix import GfMatrix, row_space_intersect
 _DTYPE = np.int16
 
 DEFAULT_CAP = 1 << 22
-_CHUNK_BITS = 14
+_CHUNK_BITS = 14  # table path: about 2^14 codewords of 2n entries per block
+_GF2_CHUNK_BITS = 16  # packed path: 2^16 codewords per block
+_HALF = 32  # positions per packed word: a in the low half, b in the high
+_LOW_HALF = np.uint64((1 << _HALF) - 1)
 
 
 def symplectic_product(field: GF, x, y) -> int:
@@ -60,11 +76,6 @@ def symplectic_weight(x) -> int:
         raise ValueError("vector must be 1-D with even length")
     n = xv.size // 2
     return int(np.count_nonzero((xv[:n] != 0) | (xv[n:] != 0)))
-
-
-def symplectic_weights(block: np.ndarray, n: int) -> np.ndarray:
-    """Symplectic weights of each row of a (N, 2n) code array."""
-    return np.count_nonzero((block[:, :n] != 0) | (block[:, n:] != 0), axis=1)
 
 
 def symplectic_form_matrix(field: GF, n: int) -> GfMatrix:
@@ -165,13 +176,6 @@ class LinearCode:
             raise ValueError(f"vector must have length {2 * self.n}")
         return bool(self.basis.row_space_contains(v)[0])
 
-    def contains_code(self, other: "LinearCode") -> bool:
-        if other.field != self.field or other.n != self.n:
-            raise ValueError("codes live in different spaces")
-        if other.dim == 0:
-            return True
-        return bool(self.basis.row_space_contains(other.basis.array).all())
-
     def dual(self) -> "LinearCode":
         """The symplectic dual; dim dual = 2n - dim."""
         if self._dual is None:
@@ -189,55 +193,59 @@ class LinearCode:
     # ------------------------------------------------------------------
     # exhaustive enumeration
     # ------------------------------------------------------------------
-    def _codeword_chunks(self):
-        """Yield all q^dim codewords as (N, 2n) blocks of bounded size."""
-        f = self.field
-        arr = self.basis.array
-        r, cols = arr.shape
-        if r == 0:
-            yield np.zeros((1, cols), dtype=_DTYPE)
-            return
-        per_chunk = max(1, int(_CHUNK_BITS / math.log2(f.q)))
-        low = min(r, per_chunk)
-        words = np.zeros((1, cols), dtype=_DTYPE)
-        for i in range(low):
-            variants = f.mul_table[:, arr[i]]  # all q scalar multiples of row i
-            words = f.add_table[words[:, None, :], variants[None, :, :]]
-            words = words.reshape(-1, cols)
-        if low == r:
-            yield words
-            return
-        high = arr[low:]
-        for coeffs in itertools.product(range(f.q), repeat=r - low):
-            offset = np.zeros(cols, dtype=_DTYPE)
-            for coef, row in zip(coeffs, high):
-                if coef:
-                    offset = f.add_table[offset, f.mul_table[coef][row]]
-            yield f.add_table[words, offset[None, :]]
+    def _coset_basis(self, exclude: "LinearCode | None") -> tuple[np.ndarray, int]:
+        """A basis [M; R] of this code and the number m of its M rows.
 
-    def _min_weight(self, weight_fn, exclude: "LinearCode | None", cap: int):
+        M is the canonical basis of `exclude` (empty when it is None), and
+        R is an echelon basis of this code's rows reduced modulo M.  A
+        codeword lies outside `exclude` iff one of its R coefficients is
+        nonzero.  Raises ValueError unless `exclude` is a subcode.
+        """
+        if exclude is None:
+            return self.basis.array, 0
+        if exclude.field != self.field or exclude.n != self.n:
+            raise ValueError("exclude code lives in a different space")
+        rest = GfMatrix(self.field,
+                        exclude.basis.remainders(self.basis.array)).canonical()
+        # dim(C + M) = dim M + rank(C mod M), which is dim C iff M lies in C.
+        if exclude.dim + rest.rows != self.dim:
+            raise ValueError("exclude must be a subcode of the enumerated code")
+        return np.vstack([exclude.basis.array, rest.array]), exclude.dim
+
+    def _codeword_chunks(self, rows: np.ndarray, m: int, symplectic: bool):
+        """Weights of all q^dim codewords, in blocks of bounded size.
+
+        `rows` is a basis [M; R] of this code from `_coset_basis`.  Yields
+        (weights, start) per block: the block's codewords from index
+        `start` on lie outside span(M).  The zero word comes first.
+        """
+        if self.field.q == 2:
+            return _gf2_chunks(rows, m, self.n, symplectic)
+        return _table_chunks(self.field, rows, m, self.n, symplectic)
+
+    def _minima(self, symplectic: bool, exclude: "LinearCode | None",
+                cap: int) -> tuple[int | None, int | None]:
+        """Minimum weights over the nonzero codewords and over the
+        codewords outside `exclude`, from one enumeration pass."""
         required = self.codeword_count()
         if required > cap:
             raise CapExceededError(required, cap)
-        if exclude is not None:
-            if exclude.field != self.field or exclude.n != self.n:
-                raise ValueError("exclude code lives in a different space")
-            if not self.contains_code(exclude):
-                raise ValueError("exclude must be a subcode of the enumerated code")
-        best: int | None = None
-        for block in self._codeword_chunks():
-            weights = weight_fn(block)
-            if exclude is None:
-                mask = weights > 0
-            else:
-                mask = ~exclude.basis.row_space_contains(block)
-            if mask.any():
-                local = int(weights[mask].min())
-                if best is None or local < best:
-                    best = local
-                if best <= 1:
+        rows, m = self._coset_basis(exclude)
+        nonzero: int | None = None
+        outside: int | None = None
+        skip = 1  # the zero word
+        for weights, start in self._codeword_chunks(rows, m, symplectic):
+            if skip < len(weights):
+                local = int(weights[skip:].min())
+                nonzero = local if nonzero is None else min(nonzero, local)
+            if start < len(weights):
+                if start > skip:  # words outside M are nonzero: start >= skip
+                    local = int(weights[start:].min())
+                outside = local if outside is None else min(outside, local)
+                if outside <= 1:
                     break  # cannot get lighter than a single position
-        return best
+            skip = 0
+        return nonzero, outside
 
     def min_symplectic_weight(self, exclude: "LinearCode | None" = None,
                               cap: int = DEFAULT_CAP) -> int | None:
@@ -250,41 +258,36 @@ class LinearCode:
         """
         if exclude is None and self._min_sw is not False:
             return self._min_sw
-        result = self._min_weight(
-            lambda block: symplectic_weights(block, self.n), exclude, cap)
-        if exclude is None:
-            self._min_sw = result
-        return result
+        self._min_sw, outside = self._minima(True, exclude, cap)
+        return outside
 
     def min_hamming_weight(self, exclude: "LinearCode | None" = None,
                            cap: int = DEFAULT_CAP) -> int | None:
         """Minimum Hamming weight, viewing codewords as plain length-2n vectors."""
         if exclude is None and self._min_hw is not False:
             return self._min_hw
-        result = self._min_weight(
-            lambda block: np.count_nonzero(block, axis=1), exclude, cap)
-        if exclude is None:
-            self._min_hw = result
-        return result
+        self._min_hw, outside = self._minima(False, exclude, cap)
+        return outside
 
     # ------------------------------------------------------------------
     def params(self, cap: int = DEFAULT_CAP) -> CodeParams:
         """Full parameter tuple, including both distance flavors.
 
-        Enumerates the dual (and, when c > 0, the dual minus this code's
-        intersection with it), so it can raise CapExceededError.
+        Enumerates the dual once: when c > 0 the pass that finds the
+        minimum outside this code's intersection with the dual also
+        finds the pure minimum.  It can raise CapExceededError.
         """
         if self._params is not None:
             return self._params
         structural = self.structural_params()
         dual = self.dual()
-        pure_d = dual.min_symplectic_weight(cap=cap)
         if structural.c == 0:
-            d = pure_d
+            d = dual.min_symplectic_weight(cap=cap)
         else:
             meet = LinearCode(self.field, self.n,
                               row_space_intersect(self.basis, dual.basis))
             d = dual.min_symplectic_weight(exclude=meet, cap=cap)
+        pure_d = dual.min_symplectic_weight(cap=cap)  # memoized by that pass
         self._params = CodeParams(
             q=structural.q, n=structural.n, k=structural.k, d=d,
             c=structural.c, pure_d=pure_d,
@@ -305,7 +308,88 @@ class LinearCode:
         k = c + self.n - self.dim
         return CodeParams(q=self.field.q, n=self.n, k=int(k), d=None, c=int(c),
                           pure_d=None,
-                          is_stabilizer_qecc=(c == 0 and self.is_self_orthogonal()))
+                          is_stabilizer_qecc=c == 0)
+
+
+# ----------------------------------------------------------------------
+# enumeration kernels behind LinearCode._codeword_chunks
+# ----------------------------------------------------------------------
+def _table_chunks(field: GF, rows: np.ndarray, m: int, n: int,
+                  symplectic: bool):
+    """LinearCode._codeword_chunks for any q, on int16 element codes.
+
+    The first rows combine into one table of words, indexed so that the
+    coefficient of row i is digit i in base q; the remaining rows step
+    through every coefficient tuple as a common offset.
+    """
+    q, cols = field.q, rows.shape[1]
+    low = min(len(rows), max(1, int(_CHUNK_BITS / math.log2(q))))
+    words = np.zeros((1, cols), dtype=_DTYPE)
+    for row in rows[:low]:
+        variants = field.mul_table[:, row]  # all q scalar multiples of the row
+        words = field.add_table[variants[:, None, :], words[None, :, :]]
+        words = words.reshape(-1, cols)
+    inside = q ** min(m, low)  # words on M rows alone lead the table
+    split = max(0, m - low)  # offset digits below this belong to M rows
+    for coeffs in itertools.product(range(q), repeat=len(rows) - low):
+        offset = np.zeros(cols, dtype=_DTYPE)
+        for coef, row in zip(coeffs, rows[low:]):
+            if coef:
+                offset = field.add_table[offset, field.mul_table[coef][row]]
+        block = field.add_table[words, offset[None, :]]
+        if symplectic:
+            weights = np.count_nonzero(block[:, :n] | block[:, n:], axis=1)
+        else:
+            weights = np.count_nonzero(block, axis=1)
+        yield weights, 0 if any(coeffs[split:]) else inside
+
+
+def _pack_gf2(rows: np.ndarray, n: int) -> np.ndarray:
+    """GF(2) vectors (a|b) as (len(rows), W) uint64, W = ceil(n / 32).
+
+    Word j holds a[32j:32j+32] in its low half and b[32j:32j+32] in its
+    high half, bit i for position 32j+i.
+    """
+    width = max(1, -(-n // _HALF))
+    pad = ((0, 0), (0, width * _HALF - n))
+    halves = [np.pad(rows[:, :n], pad), np.pad(rows[:, n:], pad)]
+    bits = np.concatenate([h.reshape(len(rows), width, _HALF) for h in halves],
+                          axis=2).astype(np.uint64)
+    return np.bitwise_or.reduce(bits << np.arange(2 * _HALF, dtype=np.uint64),
+                                axis=2)
+
+
+def _gf2_weights(words: np.ndarray, symplectic: bool) -> np.ndarray:
+    """Weights of the packed vectors in the columns of a (W, N) array."""
+    if symplectic:  # bit i of the low half: a_i | b_i
+        words = (words & _LOW_HALF) | (words >> _HALF)
+    counts = np.bitwise_count(words)
+    return counts[0] if len(counts) == 1 else counts.sum(axis=0)
+
+
+def _gf2_chunks(rows: np.ndarray, m: int, n: int, symplectic: bool):
+    """LinearCode._codeword_chunks for q = 2, on bit-packed words.
+
+    The first rows combine into one block by XOR doubling, so bit i of a
+    word's index is the coefficient of row i.  The remaining rows step in
+    Gray-code order: each block differs from the last by one row, one
+    XOR into the common offset.
+    """
+    packed = _pack_gf2(rows, n)
+    low = min(len(packed), _GF2_CHUNK_BITS)
+    inner = np.zeros((packed.shape[1], 1), dtype=np.uint64)
+    for row in packed[:low]:
+        inner = np.concatenate([inner, inner ^ row[:, None]], axis=1)
+    inside = 1 << min(m, low)  # words on M rows alone lead the block
+    split = max(0, m - low)  # offset bits below this belong to M rows
+    yield _gf2_weights(inner, symplectic), inside
+    offset = np.zeros(packed.shape[1], dtype=np.uint64)
+    for g in range(1, 1 << (len(packed) - low)):
+        offset ^= packed[low + (g & -g).bit_length() - 1]
+        # The block's offset is the Gray code of g, whose highest set bit
+        # is that of g: some R row is in it iff g >> split is nonzero.
+        yield (_gf2_weights(inner ^ offset[:, None], symplectic),
+               0 if g >> split else inside)
 
 
 def random_self_orthogonal(field: GF, n: int, target_dim: int,

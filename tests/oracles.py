@@ -3,8 +3,9 @@
 These deliberately take different routes than the implementation:
 inverses by exhaustive search, field products by fresh schoolbook
 polynomial arithmetic, minimum weights by growing-support enumeration
-with RREF membership tests, and Hamming minima by a plain pure-Python
-walk over all coefficient tuples.
+with RREF membership tests, and minima outside a subcode (or Hamming
+minima) by a plain pure-Python walk over all coefficient tuples that
+compares codewords as tuples, with no linear algebra.
 """
 
 import itertools
@@ -48,13 +49,14 @@ def oracle_cost(n: int, q: int, up_to_weight: int) -> int:
 
 
 def min_weight_by_growing_support(code, up_to_weight: int | None = None,
-                                  batch: int = 4096) -> int | None:
+                                  batch: int = 4096, exclude=None) -> int | None:
     """Minimum symplectic weight via by-increasing-weight enumeration.
 
     For each candidate weight w, generates every vector whose nonzero
     pairs sit on a size-w support, and tests membership with an RREF
-    solve.  Returns the first w with a hit, or None if nothing is found
-    up to `up_to_weight` (default n).
+    solve; candidates that also lie in `exclude` do not count.  Returns
+    the first w with a hit, or None if nothing is found up to
+    `up_to_weight` (default n).
     """
     n, q = code.n, code.field.q
     if code.dim == 0:
@@ -73,31 +75,48 @@ def min_weight_by_growing_support(code, up_to_weight: int | None = None,
                     for pos, (x, y) in zip(support, assignment):
                         candidates[r, pos] = x
                         candidates[r, n + pos] = y
-                if code.basis.row_space_contains(candidates).any():
+                hits = code.basis.row_space_contains(candidates)
+                if exclude is not None and exclude.dim:
+                    hits &= ~exclude.basis.row_space_contains(candidates)
+                if hits.any():
                     return w
     return None
 
 
-def min_hamming_weight_bruteforce(code) -> int | None:
-    """Minimum Hamming weight by a pure-Python walk over all codewords."""
+def _codewords(code):
+    """Every codeword as a tuple, by a pure-Python walk over all
+    coefficient tuples."""
     f = code.field
     rows = [list(map(int, r)) for r in code.basis.array]
-    if not rows:
-        return None
-    best = None
-    width = len(rows[0])
+    width = 2 * code.n
     for coeffs in itertools.product(range(f.q), repeat=len(rows)):
-        if not any(coeffs):
-            continue
         word = [0] * width
         for coef, row in zip(coeffs, rows):
             if coef:
                 for j in range(width):
                     word[j] = f.add(word[j], f.mul(coef, row[j]))
-        weight = sum(1 for v in word if v)
-        if best is None or weight < best:
-            best = weight
-    return best
+        yield tuple(word)
+
+
+def min_weight_outside_bruteforce(code, exclude=None,
+                                  symplectic: bool = True) -> int | None:
+    """Minimum weight over the codewords of `code` that are not codewords
+    of `exclude` (default: the zero code), by pure-Python enumeration of
+    both codes.  `exclude` need not be a subcode.  Weights are symplectic,
+    or Hamming over all 2n entries."""
+    n = code.n
+    skip = set(_codewords(exclude)) if exclude is not None else {(0,) * 2 * n}
+    weights = [
+        sum(1 for i in range(n) if word[i] or word[n + i]) if symplectic
+        else sum(1 for v in word if v)
+        for word in _codewords(code) if word not in skip]
+    return min(weights, default=None)
+
+
+def min_hamming_weight_bruteforce(code) -> int | None:
+    """Minimum Hamming weight by a pure-Python walk over all codewords."""
+    weights = [sum(1 for v in word if v) for word in _codewords(code)]
+    return min((w for w in weights if w), default=None)
 
 
 def random_code(field, n: int, dim: int, rng) -> "LinearCode":

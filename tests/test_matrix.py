@@ -68,10 +68,20 @@ def test_rref_scales_pivot_rows():
 
 
 def test_entry_validation(gf3):
-    with pytest.raises(ValueError):
-        GfMatrix(gf3, [[0, 3]])
-    with pytest.raises(ValueError):
-        GfMatrix(gf3, [[0, -1]])
+    for data in ([[0, 3]], [[0, -1]],
+                 [[1.7, 0]], [[True, False]], np.array([[1.0, 0.0]]),
+                 [["1", "0"]], [[None, 0]],
+                 [[70000, 0]], [[2**70, 0]],
+                 np.array([[65536, 0]])):  # 65536 would wrap to 0 in int16
+        with pytest.raises(ValueError):
+            GfMatrix(gf3, data)
+
+
+def test_integer_arrays_of_any_width_are_accepted(gf3):
+    for dtype in (np.int8, np.uint8, np.int16, np.int64, np.uint64):
+        mat = GfMatrix(gf3, np.array([[2, 0, 1]], dtype=dtype))
+        assert mat.array.dtype == np.int16
+        assert mat.array.tolist() == [[2, 0, 1]]
 
 
 # ---------------------------------------------------------------------

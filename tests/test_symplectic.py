@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from eaqecc import (CapExceededError, GF, LinearCode, random_self_orthogonal,
-                    symplectic_product, symplectic_weight)
+                    row_space_intersect, symplectic_product, symplectic_weight)
 
 from conftest import (FIVE_QUBIT_DUAL_ROWS, FIVE_QUBIT_SHORTENED_DUAL_ROWS,
                       vec)
-from oracles import min_weight_by_growing_support, random_code
+from oracles import (min_hamming_weight_bruteforce,
+                     min_weight_by_growing_support,
+                     min_weight_outside_bruteforce, random_code)
 
 FIELDS = {q: GF(q) for q in (2, 3, 4, 5)}
 
@@ -140,6 +142,18 @@ def test_min_weight_exclude_subcode(five_qubit, gf2):
 
 def test_min_weight_exclude_everything_undefined(five_qubit):
     assert five_qubit.min_symplectic_weight(exclude=five_qubit) is None
+    # Shapes from one block to several, and two-word packing at n = 40.
+    for q, n, dim in [(2, 10, 19), (3, 4, 5), (3, 6, 10), (4, 3, 4),
+                      (2, 40, 6)]:
+        code = random_code(FIELDS[q], n, dim, random.Random(q * 100 + dim))
+        assert code.min_symplectic_weight(exclude=code) is None
+        assert code.min_hamming_weight(exclude=code) is None
+        zero = LinearCode(code.field, n)
+        assert (code.min_symplectic_weight(exclude=zero)
+                == code.min_symplectic_weight())
+        assert code.min_hamming_weight(exclude=zero) == code.min_hamming_weight()
+        assert zero.min_symplectic_weight(exclude=zero) is None
+        assert zero.min_hamming_weight() is None
 
 
 def test_min_weight_matches_growing_support_oracle():
@@ -153,6 +167,76 @@ def test_min_weight_matches_growing_support_oracle():
             continue
         assert code.min_symplectic_weight() == min_weight_by_growing_support(code)
         checked += 1
+
+
+def test_distances_with_entanglement_match_oracles():
+    """d, pure_d and the Hamming minima on duals, checked against three
+    oracles, on seeded random codes with c > 0."""
+    rng = random.Random(41)
+    seen = {2: 0, 3: 0, 4: 0}
+    while min(seen.values()) < 8:
+        q = rng.choice(sorted(seen))
+        n = rng.randrange(2, {2: 6, 3: 4, 4: 4}[q])
+        code = random_code(FIELDS[q], n, rng.randrange(1, n + 1), rng)
+        if code.structural_params().c == 0 or q ** (2 * n - code.dim) > 4096:
+            continue
+        seen[q] += 1
+        p = code.params()
+        dual = code.dual()
+        meet = LinearCode(code.field, n,
+                          row_space_intersect(code.basis, dual.basis))
+        assert p.d == min_weight_outside_bruteforce(dual, exclude=code)
+        assert p.d == min_weight_by_growing_support(dual, exclude=meet)
+        assert p.pure_d == min_weight_outside_bruteforce(dual)
+        assert p.pure_d == min_weight_by_growing_support(dual)
+        fresh = LinearCode(code.field, n, dual.basis)  # no memoized minima
+        assert fresh.min_symplectic_weight(exclude=meet) == p.d
+        assert fresh.min_symplectic_weight() == p.pure_d
+        w_h = fresh.min_hamming_weight()
+        assert w_h == min_hamming_weight_bruteforce(dual)
+        assert w_h == min_weight_outside_bruteforce(dual, symplectic=False)
+        assert (fresh.min_hamming_weight(exclude=meet)
+                == min_weight_outside_bruteforce(dual, exclude=code,
+                                                 symplectic=False))
+
+
+@pytest.mark.parametrize("q,n,dim,sub", [
+    (2, 14, 19, 5), (2, 14, 19, 17),  # subcode inside / past the first block
+    (3, 8, 10, 4), (3, 8, 10, 9),
+    (4, 7, 9, 3), (4, 7, 9, 8),
+])
+def test_min_weight_exclude_across_blocks(q, n, dim, sub):
+    """Codes of several enumeration blocks, excluding the span of the
+    first `sub` basis rows, against growing-support enumeration."""
+    code = random_code(FIELDS[q], n, dim, random.Random(7 * n + sub))
+    assert code.dim == dim
+    exclude = LinearCode(code.field, n, code.basis.array[:sub])
+    expected = min_weight_by_growing_support(code, exclude=exclude)
+    assert code.min_symplectic_weight(exclude=exclude) == expected
+    assert code.min_symplectic_weight() == min_weight_by_growing_support(code)
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 40, 64, 70])
+def test_min_weight_packed_multiword(n):
+    """q = 2 codes wider than one 32-position word, against the
+    pure-Python oracle."""
+    rng = random.Random(n)
+    for dim in (1, 3, 7):
+        dense = random_code(FIELDS[2], n, dim, rng).basis.array
+        # Sparse rows keep weights low enough to differ between words.
+        sparse = [[int(rng.random() < 0.1) for _ in range(2 * n)]
+                  for _ in range(dim)]
+        sparse[0][n - 1] = 1  # touch the last position of each half
+        sparse[-1][2 * n - 1] = 1
+        for rows in (dense, sparse):
+            code = LinearCode(FIELDS[2], n, rows)
+            sub = LinearCode(FIELDS[2], n, code.basis.array[:1])
+            assert code.min_symplectic_weight() == \
+                min_weight_outside_bruteforce(code)
+            assert code.min_hamming_weight() == \
+                min_weight_outside_bruteforce(code, symplectic=False)
+            assert code.min_symplectic_weight(exclude=sub) == \
+                min_weight_outside_bruteforce(code, exclude=sub)
 
 
 # ---------------------------------------------------------------------
@@ -203,6 +287,21 @@ def test_params_on_self_orthogonal_specializes():
         assert p.k == n - code.dim
         assert p.d == p.pure_d
         assert p.is_stabilizer_qecc
+
+
+def test_stabilizer_flag_is_self_orthogonality():
+    rng = random.Random(43)
+    for q in (2, 3, 4, 5):
+        f = FIELDS[q]
+        for _ in range(15):
+            n = rng.randrange(1, 6)
+            dim = rng.randrange(0, n + 1)
+            for code in (random_code(f, n, dim, rng),
+                         random_self_orthogonal(f, n, dim,
+                                                seed=rng.randrange(10**6))):
+                p = code.structural_params()
+                assert p.is_stabilizer_qecc == (p.c == 0) \
+                    == code.is_self_orthogonal()
 
 
 def test_structural_params_skips_distances(five_qubit):
