@@ -14,9 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import GF
-
-_DTYPE = np.int16
+from .field import _DTYPE, GF
 
 
 class GfMatrix:

@@ -13,6 +13,9 @@ pairs and encodes k = c + n - dim C logical qudits.  Its distance d is
 the minimum symplectic weight of the dual outside C (outside {0} when
 c = 0), while the pure distance is the minimum over the dual minus the
 zero vector.  Both are reported, since they can differ when c > 0.
+The radical C n dual(C) comes from the kernel of the Gram matrix
+G Lambda G^T of a basis G (Wilde & Brun, PRA 77, 064302); c follows from
+its dimension, and it is the subcode of the dual that d excludes.
 
 Weight minima are found by exhaustive codeword enumeration, guarded by a
 codeword cap (default 2^22) so that accidental large runs fail fast with
@@ -42,10 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .field import GF
-from .matrix import GfMatrix, row_space_intersect
-
-_DTYPE = np.int16
+from .field import _DTYPE, GF
+from .matrix import GfMatrix
 
 DEFAULT_CAP = 1 << 22
 _CHUNK_BITS = 14  # table path: about 2^14 codewords of 2n entries per block
@@ -129,7 +130,7 @@ class LinearCode:
     parameters) are cached on first use.
     """
 
-    __slots__ = ("field", "n", "basis", "_dual", "_min_sw", "_min_hw", "_params")
+    __slots__ = ("field", "n", "basis", "_dual", "_radical", "_minima", "_params")
 
     def __init__(self, field: GF, n: int, rows=None) -> None:
         if n < 0:
@@ -150,8 +151,8 @@ class LinearCode:
         self.n = n
         self.basis = mat.canonical()
         self._dual: LinearCode | None = None
-        self._min_sw: int | None | bool = False  # False marks "not computed"
-        self._min_hw: int | None | bool = False
+        self._radical: LinearCode | None = None
+        self._minima: dict[bool, int | None] = {}  # nonzero minimum per kind
         self._params: CodeParams | None = None
 
     @property
@@ -176,19 +177,31 @@ class LinearCode:
             raise ValueError(f"vector must have length {2 * self.n}")
         return bool(self.basis.row_space_contains(v)[0])
 
+    def _half_swap(self) -> GfMatrix:
+        """The basis times the form matrix: each row (a|b) becomes (-b|a)."""
+        arr = self.basis.array
+        return GfMatrix(self.field, np.hstack(
+            [self.field.neg_table[arr[:, self.n:]], arr[:, :self.n]]))
+
     def dual(self) -> "LinearCode":
         """The symplectic dual; dim dual = 2n - dim."""
         if self._dual is None:
-            lam = symplectic_form_matrix(self.field, self.n)
-            kernel = (self.basis @ lam).nullspace()
-            self._dual = LinearCode(self.field, self.n, kernel)
+            self._dual = LinearCode(self.field, self.n,
+                                    self._half_swap().nullspace())
         return self._dual
+
+    def radical(self) -> "LinearCode":
+        """C n dual(C): x G for x in the kernel of the alternating Gram
+        matrix G Lambda G^T, where G is the basis."""
+        if self._radical is None:
+            gram = self._half_swap() @ self.basis.transpose()
+            self._radical = LinearCode(self.field, self.n,
+                                       gram.nullspace() @ self.basis)
+        return self._radical
 
     def is_self_orthogonal(self) -> bool:
         """True iff all pairs of basis rows have symplectic product zero."""
-        lam = symplectic_form_matrix(self.field, self.n)
-        gram = (self.basis @ lam) @ self.basis.transpose()
-        return gram.is_zero()
+        return self.radical().dim == self.dim
 
     # ------------------------------------------------------------------
     # exhaustive enumeration
@@ -223,10 +236,12 @@ class LinearCode:
             return _gf2_chunks(rows, m, self.n, symplectic)
         return _table_chunks(self.field, rows, m, self.n, symplectic)
 
-    def _minima(self, symplectic: bool, exclude: "LinearCode | None",
-                cap: int) -> tuple[int | None, int | None]:
-        """Minimum weights over the nonzero codewords and over the
-        codewords outside `exclude`, from one enumeration pass."""
+    def _min_weight(self, symplectic: bool, exclude: "LinearCode | None",
+                    cap: int) -> int | None:
+        """Minimum weight over the codewords outside `exclude`; the same
+        pass memoizes the minimum over the nonzero codewords per kind."""
+        if exclude is None and symplectic in self._minima:
+            return self._minima[symplectic]
         required = self.codeword_count()
         if required > cap:
             raise CapExceededError(required, cap)
@@ -245,7 +260,8 @@ class LinearCode:
                 if outside <= 1:
                     break  # cannot get lighter than a single position
             skip = 0
-        return nonzero, outside
+        self._minima[symplectic] = nonzero
+        return outside
 
     def min_symplectic_weight(self, exclude: "LinearCode | None" = None,
                               cap: int = DEFAULT_CAP) -> int | None:
@@ -256,37 +272,27 @@ class LinearCode:
         the enumeration domain is empty.  Raises CapExceededError when
         q^dim exceeds `cap`.
         """
-        if exclude is None and self._min_sw is not False:
-            return self._min_sw
-        self._min_sw, outside = self._minima(True, exclude, cap)
-        return outside
+        return self._min_weight(True, exclude, cap)
 
     def min_hamming_weight(self, exclude: "LinearCode | None" = None,
                            cap: int = DEFAULT_CAP) -> int | None:
         """Minimum Hamming weight, viewing codewords as plain length-2n vectors."""
-        if exclude is None and self._min_hw is not False:
-            return self._min_hw
-        self._min_hw, outside = self._minima(False, exclude, cap)
-        return outside
+        return self._min_weight(False, exclude, cap)
 
     # ------------------------------------------------------------------
     def params(self, cap: int = DEFAULT_CAP) -> CodeParams:
         """Full parameter tuple, including both distance flavors.
 
         Enumerates the dual once: when c > 0 the pass that finds the
-        minimum outside this code's intersection with the dual also
-        finds the pure minimum.  It can raise CapExceededError.
+        minimum outside the radical also finds the pure minimum.  It can
+        raise CapExceededError.
         """
         if self._params is not None:
             return self._params
         structural = self.structural_params()
         dual = self.dual()
-        if structural.c == 0:
-            d = dual.min_symplectic_weight(cap=cap)
-        else:
-            meet = LinearCode(self.field, self.n,
-                              row_space_intersect(self.basis, dual.basis))
-            d = dual.min_symplectic_weight(exclude=meet, cap=cap)
+        exclude = self.radical() if structural.c else None
+        d = dual.min_symplectic_weight(exclude=exclude, cap=cap)
         pure_d = dual.min_symplectic_weight(cap=cap)  # memoized by that pass
         self._params = CodeParams(
             q=structural.q, n=structural.n, k=structural.k, d=d,
@@ -300,9 +306,7 @@ class LinearCode:
         Used by lemma reports, where the checks are purely dimensional and
         a full distance computation could blow the enumeration cap.
         """
-        dual = self.dual()
-        meet = row_space_intersect(self.basis, dual.basis)
-        excess = self.dim - meet.rows
+        excess = self.dim - self.radical().dim
         assert excess % 2 == 0  # the form is nondegenerate modulo the radical
         c = excess // 2
         k = c + self.n - self.dim

@@ -29,10 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .matrix import GfMatrix, row_space_intersect
+from .matrix import GfMatrix
 from .symplectic import DEFAULT_CAP, CodeParams, LinearCode
-
-_DTYPE = np.int16
 
 PASS = "pass"
 FAIL = "fail"
@@ -208,43 +206,36 @@ def shorten(code: LinearCode, positions) -> LinearCode:
 # ----------------------------------------------------------------------
 # the construction
 # ----------------------------------------------------------------------
-def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP,
-                     trusted_d: int | None = None
+def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
                      ) -> tuple[LinearCode, TheoremReport]:
     """Puncture a self-orthogonal code and verify the resulting parameters.
 
     Requires 1 <= l <= d-1 where l is the number of positions and d is
-    the minimum symplectic weight of the dual; d is recomputed here
-    unless the caller passes `trusted_d` (the fast path for sweeps that
-    already know it).  Returns the punctured code together with a report
-    whose six checks cover dimension preservation, the entanglement and
-    logical-qudit counts, the distance lower bound, the exchange of
-    puncturing and shortening under duality, and the intersection
-    identity tying the new code's self-orthogonal part to shortening.
+    the minimum symplectic weight of the dual.  The dual memoizes d and
+    the code its parameters, so a sweep over many position sets of one
+    code enumerates its dual once.  Returns the punctured code together
+    with a report whose six checks cover dimension preservation, the
+    entanglement and logical-qudit counts, the distance lower bound, the
+    exchange of puncturing and shortening under duality, and the
+    intersection identity tying the new code's self-orthogonal part to
+    shortening.
     """
     pset = _as_positions(positions)
     pset.validate_for(code.n)
     if not code.is_self_orthogonal():
         raise ValueError("input code is not self-orthogonal under the symplectic form")
     dual = code.dual()
-    d = trusted_d if trusted_d is not None else dual.min_symplectic_weight(cap=cap)
+    d = dual.min_symplectic_weight(cap=cap)
     ell = pset.ell
     if d is None or not 1 <= ell <= d - 1:
         raise ValueError(f"l must satisfy 1 <= l <= d-1 (l={ell}, d={d})")
-
-    if trusted_d is not None:
-        base = code.structural_params()
-        input_params = CodeParams(q=base.q, n=base.n, k=base.k, d=d, c=base.c,
-                                  pure_d=d, is_stabilizer_qecc=base.is_stabilizer_qecc)
-    else:
-        input_params = code.params(cap=cap)
+    input_params = code.params(cap=cap)
 
     punctured = puncture(code, pset)
     new_dual = punctured.dual()
     shortened_dual = shorten(dual, pset)
     shortened_code = shorten(code, pset)
-    meet = LinearCode(code.field, punctured.n,
-                      row_space_intersect(punctured.basis, new_dual.basis))
+    meet = punctured.radical()
     output_params = punctured.params(cap=cap)
 
     k_by_formula = ell + (code.n - ell) - punctured.dim
@@ -395,7 +386,7 @@ def search_positions(code: LinearCode, ell: int, cap: int = DEFAULT_CAP,
     results = []
     for combo in combos:
         pset = PositionSet(combo)
-        _, report = construct_eaqecc(code, pset, cap=cap, trusted_d=d)
+        _, report = construct_eaqecc(code, pset, cap=cap)
         results.append((pset, report.output_params))
     results.sort(key=lambda item: (-(item[1].pure_d or 0), item[0].positions))
     return results

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eaqecc import (CapExceededError, GF, LinearCode, random_self_orthogonal,
-                    row_space_intersect, symplectic_product, symplectic_weight)
+                    row_space_intersect, symplectic_form_matrix,
+                    symplectic_product, symplectic_weight)
 
 from conftest import (FIVE_QUBIT_DUAL_ROWS, FIVE_QUBIT_SHORTENED_DUAL_ROWS,
                       vec)
@@ -14,7 +15,7 @@ from oracles import (min_hamming_weight_bruteforce,
                      min_weight_by_growing_support,
                      min_weight_outside_bruteforce, random_code)
 
-FIELDS = {q: GF(q) for q in (2, 3, 4, 5)}
+FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 
 
 # ---------------------------------------------------------------------
@@ -198,6 +199,9 @@ def test_distances_with_entanglement_match_oracles():
         assert (fresh.min_hamming_weight(exclude=meet)
                 == min_weight_outside_bruteforce(dual, exclude=code,
                                                  symplectic=False))
+        # The memoized minima of the two weight kinds stay apart.
+        assert fresh.min_symplectic_weight() == p.pure_d
+        assert fresh.min_hamming_weight() == w_h
 
 
 @pytest.mark.parametrize("q,n,dim,sub", [
@@ -275,6 +279,16 @@ def test_params_hyperbolic_pair(gf2):
     assert not p.is_stabilizer_qecc
 
 
+def test_params_distance_excludes_radical(gf3):
+    # The weight-1 word (000|001) commutes with the whole code, so it lies
+    # in the radical: it sets pure_d = 1, while d, outside the radical, is 2.
+    code = LinearCode(gf3, 3, [[1, 2, 0, 0, 0, 0], [0, 0, 0, 1, 2, 0],
+                               [0, 0, 0, 0, 0, 1]])
+    p = code.params()
+    assert (p.k, p.c, p.pure_d, p.d) == (1, 1, 1, 2)
+    assert p.d == min_weight_outside_bruteforce(code.dual(), exclude=code)
+
+
 def test_params_on_self_orthogonal_specializes():
     rng = random.Random(31)
     for _ in range(25):
@@ -290,16 +304,26 @@ def test_params_on_self_orthogonal_specializes():
 
 
 def test_stabilizer_flag_is_self_orthogonality():
+    """The radical, c, the dual and the stabilizer flag against the
+    Zassenhaus intersection and the dense form matrix."""
     rng = random.Random(43)
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         f = FIELDS[q]
         for _ in range(15):
             n = rng.randrange(1, 6)
             dim = rng.randrange(0, n + 1)
             for code in (random_code(f, n, dim, rng),
                          random_self_orthogonal(f, n, dim,
-                                                seed=rng.randrange(10**6))):
+                                                seed=rng.randrange(10**6)),
+                         LinearCode(f, n),
+                         LinearCode(f, n, np.eye(2 * n, dtype=int))):
                 p = code.structural_params()
+                dual = code.dual()
+                assert code.radical() == LinearCode(
+                    f, n, row_space_intersect(code.basis, dual.basis))
+                assert p.c == (code.dim - code.radical().dim) // 2
+                assert dual.basis == \
+                    (code.basis @ symplectic_form_matrix(f, n)).nullspace()
                 assert p.is_stabilizer_qecc == (p.c == 0) \
                     == code.is_self_orthogonal()
 

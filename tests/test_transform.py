@@ -222,14 +222,6 @@ def test_construct_single_positions_one_and_five(five_qubit):
         assert report.overall
 
 
-def test_construct_trusted_d_matches_default(five_qubit):
-    fast_code, fast = construct_eaqecc(five_qubit, [2], trusted_d=3)
-    slow_code, slow = construct_eaqecc(five_qubit, [2])
-    assert fast_code == slow_code
-    assert fast.output_params == slow.output_params
-    assert fast.overall and slow.overall
-
-
 def test_construct_parameter_preservation_random():
     rng = random.Random(47)
     for code in random_self_orthogonal_pool(25, seed=47, min_weight=2):
@@ -333,6 +325,28 @@ def test_search_two_positions(five_qubit):
     # Deterministic order: descending dual weight, then ascending sets.
     keys = [(-(p.pure_d or 0), s.positions) for s, p in results]
     assert keys == sorted(keys)
+
+
+def test_search_matches_full_construction():
+    """Each search result equals a full construction, with every check
+    passing, on a fresh copy of the code that has no memoized minima."""
+    rng = random.Random(61)
+    checked = 0
+    for code in random_self_orthogonal_pool(40, seed=61, min_weight=2):
+        dual = code.dual()
+        if code.field.q == 5 or code.field.q ** dual.dim > 1 << 12:
+            continue
+        d = dual.min_symplectic_weight()
+        if d is None or d < 2:
+            continue
+        ell = rng.randrange(1, d)
+        for pset, params in search_positions(code, ell):
+            fresh = LinearCode(code.field, code.n, code.basis)
+            _, report = construct_eaqecc(fresh, pset)
+            assert report.overall, [c for c in report.checks if c.status == FAIL]
+            assert params == report.output_params
+        checked += 1
+    assert checked >= 10
 
 
 def test_search_rejects_l_zero(five_qubit):
