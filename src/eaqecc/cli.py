@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CapExceededError, CodeFileError
-from .field import GF, DEFAULT_IRREDUCIBLE, prime_power_decomposition
+from .field import GF, DEFAULT_IRREDUCIBLE, MAX_Q, prime_power_decomposition
 from .symplectic import DEFAULT_CAP, LinearCode
 from .transform import (FAIL, PositionSet, TheoremReport, compare_applicability,
                         construct_eaqecc, puncture, search_positions, shorten,
@@ -77,6 +77,9 @@ def _parse_row(toks: list[tuple[str, int]], n: int, q: int,
 
 def _make_field(q: int, poly: list[int] | None, q_line: int,
                 poly_line: int | None) -> GF:
+    if q > MAX_Q:
+        raise CodeFileError(f"field order {q} exceeds the supported cap {MAX_Q}",
+                            q_line)
     try:
         p, m = prime_power_decomposition(q)
     except ValueError as exc:

@@ -3,9 +3,16 @@
 An element c0 + c1*x + ... + c_{m-1}*x^{m-1} of GF(p^m) is stored as the
 integer c0 + c1*p + ... + c_{m-1}*p^{m-1} (little-endian base-p digits),
 so codes run from 0 to q-1, with 0 the additive identity and 1 the
-multiplicative identity.  Extension fields reduce polynomial products
-modulo a monic irreducible polynomial of degree m; prime fields are plain
-integers mod p.
+multiplicative identity.  Prime fields are plain integers mod p.
+
+An extension field is GF(p)[x] modulo a monic polynomial f of degree m.
+Multiplying by x is a linear map on digit vectors, given by the companion
+matrix of f, so repeated products with that one m x m matrix give the
+digits of x^j * b for every element b, and the whole multiplication table
+is the digit contraction a * b = sum_j a_j * (x^j * b) mod p.  The same
+table decides whether f is irreducible: GF(p)[x]/(f) is a field exactly
+when it has no zero divisors, i.e. no product of two nonzero codes is 0.
+Inverses are read off the table too, as the column of the 1 in each row.
 
 Every field eagerly precomputes dense q x q numpy operation tables, which
 the linear-algebra and enumeration layers apply to whole arrays at once
@@ -24,7 +31,6 @@ Any other extension field requires an explicit polynomial.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -55,34 +61,6 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
-    """Remainder of num modulo a monic den, coefficients mod p."""
-    rem = [c % p for c in num]
-    dd = len(_poly_trim(list(den))) - 1
-    while len(_poly_trim(rem)) - 1 >= dd:
-        rem = _poly_trim(rem)
-        shift = len(rem) - 1 - dd
-        lead = rem[-1]
-        for i, dc in enumerate(den[:dd + 1]):
-            rem[shift + i] = (rem[shift + i] - lead * dc) % p
-    return _poly_trim(rem)
-
-
 def _validate_irreducible(poly: Sequence[int], p: int, m: int) -> tuple[int, ...]:
     poly = tuple(int(c) for c in poly)
     if len(poly) != m + 1:
@@ -93,24 +71,6 @@ def _validate_irreducible(poly: Sequence[int], p: int, m: int) -> tuple[int, ...
         raise ValueError(f"polynomial coefficients must lie in 0..{p - 1}")
     if poly[-1] != 1:
         raise ValueError("irreducible polynomial must be monic")
-    if m in (2, 3):
-        # Degree 2 or 3 is reducible iff it has a root.
-        for a in range(p):
-            acc = 0
-            for c in reversed(poly):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                raise ValueError(
-                    f"polynomial is reducible over GF({p}): root at {a}")
-    elif m >= 4:
-        # No monic divisor of degree up to m/2 (degree 1 covers roots).
-        for deg in range(1, m // 2 + 1):
-            for tail in itertools.product(range(p), repeat=deg):
-                g = list(tail) + [1]
-                if not _poly_mod(poly, g, p):
-                    raise ValueError(
-                        f"polynomial is reducible over GF({p}): "
-                        f"divisor of degree {deg} found")
     return poly
 
 
@@ -135,9 +95,9 @@ class GF:
                  "neg_table", "mul_table", "inv_table", "_digits", "_ppow")
 
     def __init__(self, q: int, irreducible: Sequence[int] | None = None) -> None:
-        p, m = prime_power_decomposition(q)
-        if q > MAX_Q:
+        if isinstance(q, int) and q > MAX_Q:
             raise ValueError(f"field order {q} exceeds the supported cap {MAX_Q}")
+        p, m = prime_power_decomposition(q)
         self.p = p
         self.m = m
         self.q = q
@@ -169,24 +129,25 @@ class GF:
         if m == 1:
             mul = (codes[:, None] * codes[None, :]) % p
         else:
-            mul = np.zeros((q, q), dtype=np.int64)
-            polys = [list(digits[c]) for c in range(q)]
-            for a in range(1, q):
-                for b in range(a, q):
-                    rem = _poly_mod(_poly_mul(polys[a], polys[b], p),
-                                    self.irreducible, p)
-                    code = sum(c * int(pw) for c, pw in zip(rem, ppow))
-                    mul[a, b] = mul[b, a] = code
+            companion = np.eye(m, k=1, dtype=np.int64)
+            companion[-1] = -np.asarray(self.irreducible[:m]) % p
+            shifted = [digits]  # shifted[j][b] = digits of x^j * b
+            for _ in range(1, m):
+                shifted.append(shifted[-1] @ companion % p)
+            prod = np.tensordot(digits, np.stack(shifted), axes=1)
+            prod %= p
+            mul = prod @ ppow
+            if not mul[1:, 1:].all():
+                raise ValueError(
+                    f"polynomial is reducible over GF({p}): "
+                    f"GF({p})[x] modulo it has zero divisors")
 
         self.add_table = add.astype(_DTYPE)
         self.neg_table = neg.astype(_DTYPE)
         self.sub_table = self.add_table[:, self.neg_table]
         self.mul_table = mul.astype(_DTYPE)
-
-        inv = np.zeros(q, dtype=_DTYPE)
-        for a in range(1, q):
-            inv[a] = self._pow_by_table(a, q - 2)
-        self.inv_table = inv
+        # Row 0 holds no 1, so argmax gives 0 there.
+        self.inv_table = (mul == 1).argmax(axis=1).astype(_DTYPE)
 
         self._digits = digits.astype(np.int64)
         self._ppow = ppow
@@ -227,7 +188,7 @@ class GF:
         return int(self.neg_table[self._check(a)])
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse, computed as a^(q-2).
+        """Multiplicative inverse, read from the row of a in the product table.
 
         Raises ZeroDivisionError for the zero element.
         """

@@ -2,7 +2,8 @@
 
 These deliberately take different routes than the implementation:
 inverses by exhaustive search, field products by fresh schoolbook
-polynomial arithmetic, minimum weights by growing-support enumeration
+polynomial arithmetic, reducibility by multiplying out every pair of
+monic factors, minimum weights by growing-support enumeration
 with RREF membership tests, and minima outside a subcode (or Hamming
 minima) by a plain pure-Python walk over all coefficient tuples that
 compares codewords as tuples, with no linear algebra.
@@ -39,6 +40,24 @@ def mul_by_schoolbook(field, a: int, b: int) -> int:
                 for k, c in enumerate(mod):
                     prod[shift + k] = (prod[shift + k] - coef * c) % p
     return sum(c * p**j for j, c in enumerate(prod[:m]))
+
+
+def reducible_by_products(poly, p: int) -> bool:
+    """Whether a monic poly (little-endian) over GF(p) is a product of two
+    monic polynomials of positive degree, found by trying every pair."""
+    m = len(poly) - 1
+    target = [c % p for c in poly]
+    for d in range(1, m // 2 + 1):
+        for g_tail in itertools.product(range(p), repeat=d):
+            for h_tail in itertools.product(range(p), repeat=m - d):
+                g, h = g_tail + (1,), h_tail + (1,)
+                prod = [0] * (m + 1)
+                for i, x in enumerate(g):
+                    for j, y in enumerate(h):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                if prod == target:
+                    return True
+    return False
 
 
 def oracle_cost(n: int, q: int, up_to_weight: int) -> int:

@@ -1,10 +1,15 @@
 """Code file parsing, serialization, report rendering, and the CLI driver."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eaqecc
 from eaqecc import (CodeFileError, GF, LinearCode, construct_eaqecc,
                     verify_lemmas)
 from eaqecc.cli import (bundled_code_path, code_to_dict, emit_report, main,
@@ -224,6 +229,21 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("q 6\nn 2\n")
     assert main(["params", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_huge_order_rejected_before_factoring(tmp_path):
+    # 2^61 - 1 is prime: factoring it by trial division would never end.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("q 2305843009213693951\nn 2\n")
+    src = str(Path(eaqecc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "eaqecc", "params", str(huge)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert "line 1" in proc.stderr
+    assert "exceeds the supported cap" in proc.stderr
 
 
 def test_cli_missing_file(capsys):

@@ -1,18 +1,28 @@
 """Field arithmetic: frozen examples, axioms, and construction errors."""
 
+import itertools
+
 import pytest
 
 from eaqecc import GF, prime_power_decomposition
 
-from oracles import inverse_by_search, mul_by_schoolbook
+from oracles import inverse_by_search, mul_by_schoolbook, reducible_by_products
 
 AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 
+# Irreducible moduli (little-endian) for orders without a built-in one.
+EXPLICIT_MODULI = {
+    16: (1, 1, 0, 0, 1),               # x^4 + x + 1
+    27: (1, 2, 0, 1),                  # x^3 + 2x + 1
+    64: (1, 1, 0, 0, 0, 0, 1),         # x^6 + x + 1
+    81: (2, 1, 0, 0, 1),               # x^4 + x + 2
+    125: (2, 3, 0, 1),                 # x^3 + 3x + 2
+    256: (1, 1, 0, 1, 1, 0, 0, 0, 1),  # x^8 + x^4 + x^3 + x + 1
+}
+
 
 def make_field(q):
-    if q == 16:
-        return GF(16, (1, 1, 0, 0, 1))  # x^4 + x + 1
-    return GF(q)
+    return GF(q, EXPLICIT_MODULI.get(q))
 
 
 # ---------------------------------------------------------------------
@@ -46,6 +56,9 @@ def test_missing_polynomial_rejected():
 def test_order_cap():
     with pytest.raises(ValueError):
         GF(512, tuple([1] + [0] * 8 + [1]))
+    # A prime order this large is rejected before any trial division.
+    with pytest.raises(ValueError, match="exceeds the supported cap"):
+        GF(2**61 - 1)
 
 
 def test_reducible_polynomials_rejected():
@@ -53,10 +66,28 @@ def test_reducible_polynomials_rejected():
         GF(4, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError):
         GF(8, (0, 0, 0, 1))  # x^3 has root 0
-    # x^4 + x^2 + 1 = (x^2+x+1)^2 has no roots; the divisor search must
-    # still reject it.
+    # Reducible without roots: x^4 + x^2 + 1 = (x^2+x+1)^2 and
+    # x^8 + x^2 + 1 = (x^4+x+1)^2.
     with pytest.raises(ValueError):
         GF(16, (1, 0, 1, 0, 1))
+    with pytest.raises(ValueError):
+        GF(256, (1, 0, 1, 0, 0, 0, 0, 0, 1))
+
+
+def test_irreducibility_matches_product_oracle():
+    """GF accepts exactly the irreducible monic moduli with p^m <= 128."""
+    for p in (2, 3, 5, 7, 11):
+        m = 2
+        while p**m <= 128:
+            for tail in itertools.product(range(p), repeat=m):
+                poly = tail + (1,)
+                try:
+                    GF(p**m, poly)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted != reducible_by_products(poly, p), poly
+            m += 1
 
 
 def test_non_monic_and_wrong_length_rejected():
@@ -96,8 +127,8 @@ def test_mul_examples():
 
 
 def test_mul_matches_schoolbook_oracle():
-    for q in (4, 5, 8, 9):
-        f = GF(q)
+    for q in (4, 5, 8, 9, 16, 27, 64, 81, 125, 256):
+        f = make_field(q)
         for a in f.elements():
             for b in f.elements():
                 assert f.mul(a, b) == mul_by_schoolbook(f, a, b)
@@ -113,8 +144,8 @@ def test_neg_and_inv_examples():
 
 
 def test_inv_matches_exhaustive_search():
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        f = GF(q)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 64, 81, 125, 256):
+        f = make_field(q)
         for a in range(1, q):
             assert f.inv(a) == inverse_by_search(f, a)
 
