@@ -32,9 +32,9 @@ from pathlib import Path
 from .errors import CapExceededError, CodeFileError
 from .field import GF, DEFAULT_IRREDUCIBLE, MAX_Q, prime_power_decomposition
 from .symplectic import DEFAULT_CAP, LinearCode
-from .transform import (FAIL, PositionSet, TheoremReport, compare_applicability,
-                        construct_eaqecc, puncture, search_positions, shorten,
-                        verify_lemmas)
+from .transform import (PositionSet, TheoremReport, compare_applicability,
+                        construct_eaqecc, merge_lemma_reports, puncture,
+                        search_positions, shorten, verify_lemmas)
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +257,8 @@ def _emit_code(code: LinearCode, fmt: str) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     code = _load(args.file)
 
     if args.command == "params":
@@ -297,11 +299,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             positions = list(range(1, code.n + 1))
         reports = [verify_lemmas(code, i, cap=args.cap) for i in positions]
-        report = _merge_lemma_reports(reports, positions)
+        report = merge_lemma_reports(reports, positions)
         sys.stdout.write(emit_report(report, args.format))
         return 0 if report.overall else 1
 
     if args.command == "search":
+        if args.limit is not None and args.limit < 0:
+            raise ValueError(f"--limit must be nonnegative, got {args.limit}")
         results = search_positions(code, args.ell, cap=args.cap, limit=args.limit)
         if args.format == "json":
             print(json.dumps({"results": [
@@ -324,22 +328,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
-
-
-def _merge_lemma_reports(reports: list[TheoremReport],
-                         positions: list[int]) -> TheoremReport:
-    if len(reports) == 1:
-        return reports[0]
-    checks = []
-    for rep, i in zip(reports, positions):
-        for check in rep.checks:
-            checks.append(type(check)(name=f"{check.name}[i={i}]",
-                                      expected=check.expected,
-                                      actual=check.actual, status=check.status))
-    return TheoremReport(positions=PositionSet(positions),
-                         input_params=reports[0].input_params,
-                         output_params=None, checks=checks,
-                         overall=all(c.status != FAIL for c in checks))
 
 
 def main(argv: list[str] | None = None) -> int:

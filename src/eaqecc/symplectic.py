@@ -28,16 +28,16 @@ follow from their coefficient indices, with no membership test, and one
 pass yields both the minimum over the nonzero words and the minimum
 outside M.  `params` therefore enumerates the dual once.
 
-Over GF(2) each vector (a|b) is packed into uint64 words, 32 positions
-per word with a in the low half and b in the high half; a block of 2^16
-words is built by XOR doubling, the blocks follow each other in
-Gray-code order (one XOR per step), and weights are population counts.
-Other fields combine int16 element codes through the field's tables.
+One walk serves every field GF(p^m): the rows x^k r of each r in [M; R]
+form a basis over GF(p), and blocks of words follow each other in modular
+p-ary Gray order, one added row per step.  Only the vector format depends
+on q: over GF(2) each (a|b) is packed into uint64 words (32 positions per
+word, a in the low half), added by XOR and weighed by population counts;
+other fields add int16 element codes through the field's tables.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -49,8 +49,8 @@ from .field import _DTYPE, GF
 from .matrix import GfMatrix
 
 DEFAULT_CAP = 1 << 22
-_CHUNK_BITS = 14  # table path: about 2^14 codewords of 2n entries per block
-_GF2_CHUNK_BITS = 16  # packed path: 2^16 codewords per block
+_CHUNK_BITS = 14  # element codes: about 2^14 codewords of 2n entries per block
+_GF2_CHUNK_BITS = 16  # packed words (q = 2): 2^16 codewords per block
 _HALF = 32  # positions per packed word: a in the low half, b in the high
 _LOW_HALF = np.uint64((1 << _HALF) - 1)
 
@@ -231,10 +231,52 @@ class LinearCode:
         `rows` is a basis [M; R] of this code from `_coset_basis`.  Yields
         (weights, start) per block: the block's codewords from index
         `start` on lie outside span(M).  The zero word comes first.
+
+        The rows x^k r of each r in `rows` (q = p^e, k < e) are a basis
+        over GF(p).  The first `low` of them span one block by repeated
+        addition, so base-p digit i of a word's index is its coefficient
+        on row i; the others step in modular p-ary Gray order (Knuth,
+        TAOCP 7.2.1.1), where step g adds row low + t once, t the number
+        of trailing zero base-p digits of g.
         """
-        if self.field.q == 2:
-            return _gf2_chunks(rows, m, self.n, symplectic)
-        return _table_chunks(self.field, rows, m, self.n, symplectic)
+        field, n = self.field, self.n
+        p, q = field.p, field.q
+        powers = field.mul_table[p ** np.arange(field.m)]  # x^k * a for all a
+        digits = powers[:, rows].transpose(1, 0, 2).reshape(
+            len(rows) * field.m, 2 * n)
+        if q == 2:  # packed uint64 words; + is XOR
+            vecs, low = _pack_gf2(digits, n), _GF2_CHUNK_BITS
+            add = np.bitwise_xor
+        else:  # int16 element codes; + is the field's table
+            vecs = digits
+            low = field.m * max(1, int(_CHUNK_BITS / math.log2(q)))
+
+            def add(x, y):
+                return field.add_table[x, y]
+        low = min(len(vecs), low)
+        block = np.zeros((vecs.shape[1], 1), dtype=vecs.dtype)
+        for vec in vecs[:low]:
+            layers = [block]
+            for _ in range(p - 1):
+                layers.append(add(layers[-1], vec[:, None]))
+            block = np.concatenate(layers, axis=1)
+            # Kept alive in this generator's frame, the layers would double
+            # the live memory of a block and fault fresh pages every step.
+            del layers
+        m_digits = m * field.m  # M's rows lead, so M spans the first digits
+        inside = p ** min(m_digits, low)  # words on M digits alone lead a block
+        # The Gray code of g has the highest nonzero digit of g, so a
+        # block's offset lies in M iff g < p^(m_digits - low).
+        split = p ** max(0, m_digits - low)
+        yield _weights(block, n, q, symplectic), inside
+        offset = np.zeros(vecs.shape[1], dtype=vecs.dtype)
+        for g in range(1, p ** (len(vecs) - low)):
+            t, rest = low, g
+            while rest % p == 0:
+                t, rest = t + 1, rest // p
+            offset = add(offset, vecs[t])
+            yield (_weights(add(block, offset[:, None]), n, q, symplectic),
+                   inside if g < split else 0)
 
     def _min_weight(self, symplectic: bool, exclude: "LinearCode | None",
                     cap: int) -> int | None:
@@ -316,38 +358,8 @@ class LinearCode:
 
 
 # ----------------------------------------------------------------------
-# enumeration kernels behind LinearCode._codeword_chunks
+# vector formats of LinearCode._codeword_chunks
 # ----------------------------------------------------------------------
-def _table_chunks(field: GF, rows: np.ndarray, m: int, n: int,
-                  symplectic: bool):
-    """LinearCode._codeword_chunks for any q, on int16 element codes.
-
-    The first rows combine into one table of words, indexed so that the
-    coefficient of row i is digit i in base q; the remaining rows step
-    through every coefficient tuple as a common offset.
-    """
-    q, cols = field.q, rows.shape[1]
-    low = min(len(rows), max(1, int(_CHUNK_BITS / math.log2(q))))
-    words = np.zeros((1, cols), dtype=_DTYPE)
-    for row in rows[:low]:
-        variants = field.mul_table[:, row]  # all q scalar multiples of the row
-        words = field.add_table[variants[:, None, :], words[None, :, :]]
-        words = words.reshape(-1, cols)
-    inside = q ** min(m, low)  # words on M rows alone lead the table
-    split = max(0, m - low)  # offset digits below this belong to M rows
-    for coeffs in itertools.product(range(q), repeat=len(rows) - low):
-        offset = np.zeros(cols, dtype=_DTYPE)
-        for coef, row in zip(coeffs, rows[low:]):
-            if coef:
-                offset = field.add_table[offset, field.mul_table[coef][row]]
-        block = field.add_table[words, offset[None, :]]
-        if symplectic:
-            weights = np.count_nonzero(block[:, :n] | block[:, n:], axis=1)
-        else:
-            weights = np.count_nonzero(block, axis=1)
-        yield weights, 0 if any(coeffs[split:]) else inside
-
-
 def _pack_gf2(rows: np.ndarray, n: int) -> np.ndarray:
     """GF(2) vectors (a|b) as (len(rows), W) uint64, W = ceil(n / 32).
 
@@ -363,37 +375,17 @@ def _pack_gf2(rows: np.ndarray, n: int) -> np.ndarray:
                                 axis=2)
 
 
-def _gf2_weights(words: np.ndarray, symplectic: bool) -> np.ndarray:
-    """Weights of the packed vectors in the columns of a (W, N) array."""
+def _weights(words: np.ndarray, n: int, q: int, symplectic: bool) -> np.ndarray:
+    """Weights of the vectors in the columns of `words`: packed uint64
+    words for q = 2, 2n element codes otherwise."""
+    if q != 2:
+        if symplectic:
+            words = words[:n] | words[n:]
+        return np.count_nonzero(words, axis=0)
     if symplectic:  # bit i of the low half: a_i | b_i
         words = (words & _LOW_HALF) | (words >> _HALF)
     counts = np.bitwise_count(words)
     return counts[0] if len(counts) == 1 else counts.sum(axis=0)
-
-
-def _gf2_chunks(rows: np.ndarray, m: int, n: int, symplectic: bool):
-    """LinearCode._codeword_chunks for q = 2, on bit-packed words.
-
-    The first rows combine into one block by XOR doubling, so bit i of a
-    word's index is the coefficient of row i.  The remaining rows step in
-    Gray-code order: each block differs from the last by one row, one
-    XOR into the common offset.
-    """
-    packed = _pack_gf2(rows, n)
-    low = min(len(packed), _GF2_CHUNK_BITS)
-    inner = np.zeros((packed.shape[1], 1), dtype=np.uint64)
-    for row in packed[:low]:
-        inner = np.concatenate([inner, inner ^ row[:, None]], axis=1)
-    inside = 1 << min(m, low)  # words on M rows alone lead the block
-    split = max(0, m - low)  # offset bits below this belong to M rows
-    yield _gf2_weights(inner, symplectic), inside
-    offset = np.zeros(packed.shape[1], dtype=np.uint64)
-    for g in range(1, 1 << (len(packed) - low)):
-        offset ^= packed[low + (g & -g).bit_length() - 1]
-        # The block's offset is the Gray code of g, whose highest set bit
-        # is that of g: some R row is in it iff g >> split is nonzero.
-        yield (_gf2_weights(inner ^ offset[:, None], symplectic),
-               0 if g >> split else inside)
 
 
 def random_self_orthogonal(field: GF, n: int, target_dim: int,

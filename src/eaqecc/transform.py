@@ -24,7 +24,7 @@ code's coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Iterable
 
 import numpy as np
@@ -206,6 +206,17 @@ def shorten(code: LinearCode, positions) -> LinearCode:
 # ----------------------------------------------------------------------
 # the construction
 # ----------------------------------------------------------------------
+def _admissible_distance(code: LinearCode, ell: int, cap: int) -> int:
+    """The dual's minimum symplectic weight d, once the code is known to be
+    self-orthogonal and 1 <= ell <= d-1; raises ValueError otherwise."""
+    if not code.is_self_orthogonal():
+        raise ValueError("input code is not self-orthogonal under the symplectic form")
+    d = code.dual().min_symplectic_weight(cap=cap)
+    if d is None or not 1 <= ell <= d - 1:
+        raise ValueError(f"l must satisfy 1 <= l <= d-1 (l={ell}, d={d})")
+    return d
+
+
 def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
                      ) -> tuple[LinearCode, TheoremReport]:
     """Puncture a self-orthogonal code and verify the resulting parameters.
@@ -222,13 +233,9 @@ def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
     """
     pset = _as_positions(positions)
     pset.validate_for(code.n)
-    if not code.is_self_orthogonal():
-        raise ValueError("input code is not self-orthogonal under the symplectic form")
-    dual = code.dual()
-    d = dual.min_symplectic_weight(cap=cap)
     ell = pset.ell
-    if d is None or not 1 <= ell <= d - 1:
-        raise ValueError(f"l must satisfy 1 <= l <= d-1 (l={ell}, d={d})")
+    d = _admissible_distance(code, ell, cap)
+    dual = code.dual()
     input_params = code.params(cap=cap)
 
     punctured = puncture(code, pset)
@@ -342,6 +349,20 @@ def verify_lemmas(code: LinearCode, position: int,
                          checks=checks, overall=_overall(checks))
 
 
+def merge_lemma_reports(reports: list[TheoremReport],
+                        positions: list[int]) -> TheoremReport:
+    """One report for `verify_lemmas` at several positions, each check
+    renamed `name[i=position]`."""
+    if len(reports) == 1:
+        return reports[0]
+    checks = [replace(check, name=f"{check.name}[i={i}]")
+              for rep, i in zip(reports, positions) for check in rep.checks]
+    return TheoremReport(positions=PositionSet(positions),
+                         input_params=reports[0].input_params,
+                         output_params=None, checks=checks,
+                         overall=_overall(checks))
+
+
 # ----------------------------------------------------------------------
 # applicability comparison and position search
 # ----------------------------------------------------------------------
@@ -375,11 +396,7 @@ def search_positions(code: LinearCode, ell: int, cap: int = DEFAULT_CAP,
     order) and returns (positions, parameters) pairs sorted by descending
     dual minimum weight, ties broken by ascending positions.
     """
-    if not code.is_self_orthogonal():
-        raise ValueError("input code is not self-orthogonal under the symplectic form")
-    d = code.dual().min_symplectic_weight(cap=cap)
-    if d is None or not 1 <= ell <= d - 1:
-        raise ValueError(f"l must satisfy 1 <= l <= d-1 (l={ell}, d={d})")
+    _admissible_distance(code, ell, cap)
     combos = itertools.combinations(range(1, code.n + 1), ell)
     if limit is not None:
         combos = itertools.islice(combos, limit)

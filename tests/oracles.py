@@ -117,6 +117,14 @@ def _codewords(code):
         yield tuple(word)
 
 
+def word_weight(word, n: int, symplectic: bool = True) -> int:
+    """Symplectic weight of a length-2n tuple, or its Hamming weight over
+    all 2n entries."""
+    if symplectic:
+        return sum(1 for i in range(n) if word[i] or word[n + i])
+    return sum(1 for v in word if v)
+
+
 def min_weight_outside_bruteforce(code, exclude=None,
                                   symplectic: bool = True) -> int | None:
     """Minimum weight over the codewords of `code` that are not codewords
@@ -125,10 +133,8 @@ def min_weight_outside_bruteforce(code, exclude=None,
     or Hamming over all 2n entries."""
     n = code.n
     skip = set(_codewords(exclude)) if exclude is not None else {(0,) * 2 * n}
-    weights = [
-        sum(1 for i in range(n) if word[i] or word[n + i]) if symplectic
-        else sum(1 for v in word if v)
-        for word in _codewords(code) if word not in skip]
+    weights = [word_weight(word, n, symplectic)
+               for word in _codewords(code) if word not in skip]
     return min(weights, default=None)
 
 

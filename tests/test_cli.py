@@ -224,6 +224,17 @@ def test_cli_cap_exceeded_exit_code(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cli_negative_limit_rejected(capsys):
+    assert main(["search", str(SAMPLE), "--ell", "1", "--limit", "-1"]) == 2
+    assert "--limit" in capsys.readouterr().err
+
+
+def test_cli_nonpositive_cap_rejected(capsys):
+    assert main(["params", str(SAMPLE), "--cap", "-5"]) == 2
+    assert "--cap" in capsys.readouterr().err
+    assert main(["params", str(SAMPLE), "--cap", "0"]) == 2
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("q 6\nn 2\n")

@@ -1,6 +1,7 @@
 """Symplectic products, weights, duals, parameters, and code enumeration."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ import pytest
 from eaqecc import (CapExceededError, GF, LinearCode, random_self_orthogonal,
                     row_space_intersect, symplectic_form_matrix,
                     symplectic_product, symplectic_weight)
+from eaqecc import symplectic
 
 from conftest import (FIVE_QUBIT_DUAL_ROWS, FIVE_QUBIT_SHORTENED_DUAL_ROWS,
                       vec)
-from oracles import (min_hamming_weight_bruteforce,
+from oracles import (_codewords, min_hamming_weight_bruteforce,
                      min_weight_by_growing_support,
-                     min_weight_outside_bruteforce, random_code)
+                     min_weight_outside_bruteforce, random_code, word_weight)
 
 FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 
@@ -208,6 +210,8 @@ def test_distances_with_entanglement_match_oracles():
     (2, 14, 19, 5), (2, 14, 19, 17),  # subcode inside / past the first block
     (3, 8, 10, 4), (3, 8, 10, 9),
     (4, 7, 9, 3), (4, 7, 9, 8),
+    (8, 4, 6, 2), (8, 4, 6, 5),
+    (9, 4, 6, 2), (9, 4, 6, 5),
 ])
 def test_min_weight_exclude_across_blocks(q, n, dim, sub):
     """Codes of several enumeration blocks, excluding the span of the
@@ -241,6 +245,42 @@ def test_min_weight_packed_multiword(n):
                 min_weight_outside_bruteforce(code, symplectic=False)
             assert code.min_symplectic_weight(exclude=sub) == \
                 min_weight_outside_bruteforce(code, exclude=sub)
+
+
+@pytest.mark.parametrize("q,n,dim,sub,bits", [
+    # `bits` shrinks the block so that the codes span many blocks; M ends
+    # inside the first block, or past it.  None keeps the real block size.
+    (2, 6, 10, 2, 4), (2, 6, 10, 7, 4),
+    (3, 4, 6, 1, 4), (3, 4, 6, 4, 4), (3, 5, 9, 4, None),
+    (4, 4, 5, 1, 4), (4, 4, 5, 3, 4),
+    (8, 3, 4, 1, 6), (8, 3, 4, 3, 6), (8, 3, 5, 2, None),
+    (9, 3, 4, 1, 7), (9, 3, 4, 3, 7),
+])
+def test_codeword_chunks_visit_every_word_once(monkeypatch, q, n, dim, sub,
+                                               bits):
+    """The blocks of `_codeword_chunks` hold every codeword once: their
+    weight histograms equal the pure-Python walk's, and the words from
+    each block's `start` on are exactly those outside the subcode M."""
+    if bits is not None:
+        monkeypatch.setattr(symplectic, "_CHUNK_BITS", bits)
+        monkeypatch.setattr(symplectic, "_GF2_CHUNK_BITS", bits)
+    code = random_code(FIELDS[q], n, dim, random.Random(f"{q},{n},{dim},{sub}"))
+    assert code.dim == dim
+    exclude = LinearCode(code.field, n, code.basis.array[:sub])
+    inside = set(_codewords(exclude))
+    words = list(_codewords(code))
+    rows, m = code._coset_basis(exclude)
+    for kind in (True, False):
+        every, outside, blocks = Counter(), Counter(), 0
+        for weights, start in code._codeword_chunks(rows, m, kind):
+            every.update(weights.tolist())
+            outside.update(weights[start:].tolist())
+            blocks += 1
+        assert blocks > 1
+        assert every == Counter(word_weight(w, n, kind) for w in words)
+        assert outside == Counter(word_weight(w, n, kind)
+                                  for w in words if w not in inside)
+        assert sum(outside.values()) == q ** dim - q ** sub
 
 
 # ---------------------------------------------------------------------
