@@ -10,8 +10,10 @@ class CapExceededError(RuntimeError):
     """
 
     def __init__(self, required: int, cap: int) -> None:
+        bits = required.bit_length()  # str() refuses > 4300 digits by default
+        shown = required if bits <= 1024 else f"at least 2^{bits - 1}"
         super().__init__(
-            f"enumeration needs {required} codewords but the cap is {cap}; "
+            f"enumeration needs {shown} codewords but the cap is {cap}; "
             "raise the cap to proceed"
         )
         self.required = required

@@ -1,7 +1,7 @@
 """Dense linear algebra over GF(q).
 
-Row reduction, rank, nullspaces, and row-space sums and intersections on
-matrices of integer element codes.  A matrix always carries its column
+Row reduction, rank, nullspaces, membership and row-space intersections
+on matrices of integer element codes.  A matrix always carries its column
 count, so zero-row matrices keep a well-defined ambient dimension.  The
 canonical form of a row space (reduced row echelon form with zero rows
 dropped and pivot columns ascending) doubles as a subspace identity: two
@@ -111,18 +111,25 @@ class GfMatrix:
         return self.rref()[0].rows
 
     def nullspace(self) -> "GfMatrix":
-        """Canonical basis of {x : self @ x^T = 0}; cols - rank rows."""
-        f = self.field
-        reduced, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
-        if not free:
-            return GfMatrix.zeros(f, 0, self.cols)
-        basis = np.zeros((len(free), self.cols), dtype=_DTYPE)
-        for idx, fc in enumerate(free):
-            basis[idx, fc] = 1
-            for k, pc in enumerate(pivots):
-                basis[idx, pc] = f.neg_table[reduced.array[k, fc]]
-        return GfMatrix(f, basis).canonical()
+        """Canonical basis of {x : self @ x^T = 0}; cols - rank rows.
+
+        One elimination of the column-reversed matrix: read back in the
+        original order, each reduced row ends in its pivot 1.  The kernel
+        vector of a free column f is 1 at f, 0 at the other free columns
+        and minus the reduced entries at the pivot columns, all of which
+        lie right of f.  So its leading 1 sits at f, and the vectors in
+        ascending f already form the canonical RREF.
+        """
+        f, n_cols = self.field, self.cols
+        reduced, pivots = GfMatrix(f, self.array[:, ::-1]).rref()
+        pivots = [n_cols - 1 - c for c in pivots]
+        free = np.delete(np.arange(n_cols), pivots)
+        basis = np.zeros((len(free), n_cols), dtype=_DTYPE)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = f.neg_table[reduced.array[:, ::-1][:, free]].T
+        kernel = GfMatrix(f, basis)
+        kernel._rref = (kernel, tuple(free.tolist()))
+        return kernel
 
     def __matmul__(self, other: "GfMatrix") -> "GfMatrix":
         if not isinstance(other, GfMatrix):
@@ -186,13 +193,6 @@ def _require_compatible(a: GfMatrix, b: GfMatrix) -> None:
     _require_same_field(a, b)
     if a.cols != b.cols:
         raise ValueError(f"column counts differ: {a.cols} vs {b.cols}")
-
-
-def row_space_sum(a: GfMatrix, b: GfMatrix) -> GfMatrix:
-    """Canonical basis of rowspace(a) + rowspace(b)."""
-    _require_compatible(a, b)
-    stacked = np.vstack([a.array, b.array])
-    return GfMatrix(a.field, stacked).canonical()
 
 
 def row_space_intersect(a: GfMatrix, b: GfMatrix) -> GfMatrix:

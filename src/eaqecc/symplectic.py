@@ -79,15 +79,6 @@ def symplectic_weight(x) -> int:
     return int(np.count_nonzero((xv[:n] != 0) | (xv[n:] != 0)))
 
 
-def symplectic_form_matrix(field: GF, n: int) -> GfMatrix:
-    """The 2n x 2n block matrix [[0, I], [-I, 0]] defining the form."""
-    arr = np.zeros((2 * n, 2 * n), dtype=_DTYPE)
-    idx = np.arange(n)
-    arr[idx, n + idx] = 1
-    arr[n + idx, idx] = field.neg(1)
-    return GfMatrix(field, arr)
-
-
 @dataclass(frozen=True)
 class CodeParams:
     """Parameter tuple of a stabilizer (entanglement-assisted) code.
@@ -130,7 +121,7 @@ class LinearCode:
     parameters) are cached on first use.
     """
 
-    __slots__ = ("field", "n", "basis", "_dual", "_radical", "_minima", "_params")
+    __slots__ = ("field", "n", "basis", "_dual", "_radical", "_minima")
 
     def __init__(self, field: GF, n: int, rows=None) -> None:
         if n < 0:
@@ -153,7 +144,6 @@ class LinearCode:
         self._dual: LinearCode | None = None
         self._radical: LinearCode | None = None
         self._minima: dict[bool, int | None] = {}  # nonzero minimum per kind
-        self._params: CodeParams | None = None
 
     @property
     def dim(self) -> int:
@@ -198,6 +188,13 @@ class LinearCode:
             self._radical = LinearCode(self.field, self.n,
                                        gram.nullspace() @ self.basis)
         return self._radical
+
+    def require_dual_within_cap(self, cap: int) -> None:
+        """Raise the CapExceededError that enumerating the dual would
+        raise, before the dual's (2n - dim) x 2n basis is built."""
+        required = self.field.q ** (2 * self.n - self.dim)
+        if required > cap:
+            raise CapExceededError(required, cap)
 
     def is_self_orthogonal(self) -> bool:
         """True iff all pairs of basis rows have symplectic product zero."""
@@ -327,20 +324,18 @@ class LinearCode:
 
         Enumerates the dual once: when c > 0 the pass that finds the
         minimum outside the radical also finds the pure minimum.  It can
-        raise CapExceededError.
+        raise CapExceededError, before building a dual past the cap.
         """
-        if self._params is not None:
-            return self._params
         structural = self.structural_params()
+        self.require_dual_within_cap(cap)
         dual = self.dual()
         exclude = self.radical() if structural.c else None
         d = dual.min_symplectic_weight(exclude=exclude, cap=cap)
         pure_d = dual.min_symplectic_weight(cap=cap)  # memoized by that pass
-        self._params = CodeParams(
+        return CodeParams(
             q=structural.q, n=structural.n, k=structural.k, d=d,
             c=structural.c, pure_d=pure_d,
             is_stabilizer_qecc=structural.is_stabilizer_qecc)
-        return self._params
 
     def structural_params(self) -> CodeParams:
         """Parameters that need no weight enumeration; distances stay None.

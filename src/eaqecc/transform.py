@@ -211,6 +211,7 @@ def _admissible_distance(code: LinearCode, ell: int, cap: int) -> int:
     self-orthogonal and 1 <= ell <= d-1; raises ValueError otherwise."""
     if not code.is_self_orthogonal():
         raise ValueError("input code is not self-orthogonal under the symplectic form")
+    code.require_dual_within_cap(cap)
     d = code.dual().min_symplectic_weight(cap=cap)
     if d is None or not 1 <= ell <= d - 1:
         raise ValueError(f"l must satisfy 1 <= l <= d-1 (l={ell}, d={d})")
@@ -222,8 +223,8 @@ def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
     """Puncture a self-orthogonal code and verify the resulting parameters.
 
     Requires 1 <= l <= d-1 where l is the number of positions and d is
-    the minimum symplectic weight of the dual.  The dual memoizes d and
-    the code its parameters, so a sweep over many position sets of one
+    the minimum symplectic weight of the dual.  The code caches its dual
+    and the dual memoizes d, so a sweep over many position sets of one
     code enumerates its dual once.  Returns the punctured code together
     with a report whose six checks cover dimension preservation, the
     entanglement and logical-qudit counts, the distance lower bound, the
@@ -379,6 +380,7 @@ def compare_applicability(code: LinearCode,
     """
     if not code.is_self_orthogonal():
         raise ValueError("input code is not self-orthogonal under the symplectic form")
+    code.require_dual_within_cap(cap)
     dual = code.dual()
     d = dual.min_symplectic_weight(cap=cap)
     w_h = dual.min_hamming_weight(cap=cap)

@@ -6,12 +6,16 @@ polynomial arithmetic, reducibility by multiplying out every pair of
 monic factors, minimum weights by growing-support enumeration
 with RREF membership tests, and minima outside a subcode (or Hamming
 minima) by a plain pure-Python walk over all coefficient tuples that
-compares codewords as tuples, with no linear algebra.
+compares codewords as tuples, with no linear algebra.  Row-space sums
+and the dense symplectic form matrix serve as references for the
+library's kernels and radicals.
 """
 
 import itertools
 
 import numpy as np
+
+from eaqecc import GfMatrix
 
 
 def inverse_by_search(field, a: int) -> int:
@@ -149,3 +153,19 @@ def random_code(field, n: int, dim: int, rng) -> "LinearCode":
     from eaqecc import LinearCode
     rows = [[rng.randrange(field.q) for _ in range(2 * n)] for _ in range(dim)]
     return LinearCode(field, n, rows)
+
+
+def row_space_sum(a, b):
+    """Canonical basis of rowspace(a) + rowspace(b), by stacking."""
+    if a.field != b.field or a.cols != b.cols:
+        raise ValueError("matrices live in different spaces")
+    return GfMatrix(a.field, np.vstack([a.array, b.array])).canonical()
+
+
+def symplectic_form_matrix(field, n: int):
+    """The 2n x 2n block matrix [[0, I], [-I, 0]] defining the form."""
+    arr = np.zeros((2 * n, 2 * n), dtype=np.int16)
+    idx = np.arange(n)
+    arr[idx, n + idx] = 1
+    arr[n + idx, idx] = field.neg(1)
+    return GfMatrix(field, arr)

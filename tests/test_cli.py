@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import eaqecc
-from eaqecc import (CodeFileError, GF, LinearCode, construct_eaqecc,
-                    verify_lemmas)
+from eaqecc import (CapExceededError, CodeFileError, GF, LinearCode,
+                    construct_eaqecc, verify_lemmas)
 from eaqecc.cli import (bundled_code_path, code_to_dict, emit_report, main,
                         parse_code_file, report_from_json, serialize_code)
 
@@ -242,19 +243,53 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_huge_order_rejected_before_factoring(tmp_path):
-    # 2^61 - 1 is prime: factoring it by trial division would never end.
-    huge = tmp_path / "huge.txt"
-    huge.write_text("q 2305843009213693951\nn 2\n")
+def _run_cli(args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m eaqecc` in a fresh process, on this checkout's package."""
     src = str(Path(eaqecc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "eaqecc", "params", str(huge)],
-                          capture_output=True, text=True, timeout=30, env=env)
+    return subprocess.run([sys.executable, "-m", "eaqecc", *args],
+                          capture_output=True, text=True, timeout=30, env=env,
+                          **kwargs)
+
+
+def test_cli_huge_order_rejected_before_factoring(tmp_path):
+    # 2^61 - 1 is prime: factoring it by trial division would never end.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("q 2305843009213693951\nn 2\n")
+    proc = _run_cli(["params", str(huge)])
     assert proc.returncode == 2
     assert "line 1" in proc.stderr
     assert "exceeds the supported cap" in proc.stderr
+
+
+def _limit_address_space():
+    limit = 3 << 29  # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("args", [["params"], ["compare-remark"],
+                                  ["construct", "--positions", "1"],
+                                  ["search", "--ell", "1"]])
+def test_cli_dual_refused_by_cap_before_it_is_built(tmp_path, args):
+    # The dual of the zero code with n = 20000 has 2^40000 words; its
+    # 40000 x 40000 basis alone would take 3 GiB.
+    zero = tmp_path / "zero.txt"
+    zero.write_text("q 2\nn 20000\n")
+    proc = _run_cli([args[0], str(zero), *args[1:]],
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert "at least 2^40000 codewords" in proc.stderr
+    assert "raise the cap" in proc.stderr
+
+
+def test_cap_error_keeps_the_exact_count():
+    # Python will not print an integer of 12042 digits by default.
+    err = CapExceededError(2 ** 40000, 10)
+    assert err.required == 2 ** 40000
+    assert "at least 2^40000 codewords" in str(err)
+    assert "needs 1024 codewords" in str(CapExceededError(1024, 10))
 
 
 def test_cli_missing_file(capsys):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqecc import GF, GfMatrix, row_space_intersect, row_space_sum
-from eaqecc.symplectic import symplectic_form_matrix
+from eaqecc import GF, GfMatrix
+from eaqecc.matrix import row_space_intersect
 
 from conftest import FIVE_QUBIT_ROWS, FIVE_QUBIT_DUAL_ROWS
+from oracles import row_space_sum, symplectic_form_matrix
 
-FIELDS = {q: GF(q) for q in (2, 3, 4, 5)}
+# GF(9) is an odd-p extension field: its negation acts digit-wise.
+FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 
 
 @st.composite
@@ -173,6 +175,8 @@ def test_nullspace_annihilates(mat):
     kernel = mat.nullspace()
     if kernel.rows and mat.rows:
         assert (mat @ kernel.transpose()).is_zero()
+    # The kernel comes back canonical: a fresh elimination keeps it as is.
+    assert GfMatrix(mat.field, kernel.array).canonical() == kernel
 
 
 def test_sum_intersect_dimension_formula():

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from eaqecc import (CapExceededError, GF, LinearCode, random_self_orthogonal,
-                    row_space_intersect, symplectic_form_matrix,
                     symplectic_product, symplectic_weight)
 from eaqecc import symplectic
+from eaqecc.matrix import row_space_intersect
 
 from conftest import (FIVE_QUBIT_DUAL_ROWS, FIVE_QUBIT_SHORTENED_DUAL_ROWS,
                       vec)
 from oracles import (_codewords, min_hamming_weight_bruteforce,
                      min_weight_by_growing_support,
-                     min_weight_outside_bruteforce, random_code, word_weight)
+                     min_weight_outside_bruteforce, random_code,
+                     symplectic_form_matrix, word_weight)
 
 FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 

@@ -177,7 +177,7 @@ def test_intersection_identity_random_sweep():
         ell = rng.randrange(1, d)
         positions = PositionSet(rng.sample(range(1, code.n + 1), ell))
         punctured = puncture(code, positions)
-        from eaqecc import row_space_intersect
+        from eaqecc.matrix import row_space_intersect
         meet = LinearCode(code.field, punctured.n,
                           row_space_intersect(punctured.basis,
                                               punctured.dual().basis))
