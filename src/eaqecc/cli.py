@@ -17,7 +17,7 @@ identical code spaces produce byte-identical files.
 Subcommands: params, dual, puncture, shorten, construct, verify-lemmas,
 search, compare-remark.  Reports go to stdout, diagnostics to stderr.
 Exit codes: 0 success / all checks pass, 1 some check failed, 2 usage or
-input errors, 3 enumeration cap exceeded.
+input errors or out of memory, 3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -292,12 +292,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.overall else 1
 
     if args.command == "verify-lemmas":
-        if args.positions:
+        if args.positions is None:
+            positions = list(range(1, code.n + 1))
+        else:
             pset = PositionSet.parse(args.positions)
+            if not pset:
+                raise ValueError("--positions needs at least one position")
             pset.validate_for(code.n)
             positions = list(pset)
-        else:
-            positions = list(range(1, code.n + 1))
         reports = [verify_lemmas(code, i, cap=args.cap) for i in positions]
         report = merge_lemma_reports(reports, positions)
         sys.stdout.write(emit_report(report, args.format))
@@ -335,14 +337,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except CodeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # CodeFileError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,11 +14,11 @@ table decides whether f is irreducible: GF(p)[x]/(f) is a field exactly
 when it has no zero divisors, i.e. no product of two nonzero codes is 0.
 Inverses are read off the table too, as the column of the 1 in each row.
 
-Every field eagerly precomputes dense q x q numpy operation tables, which
-the linear-algebra and enumeration layers apply to whole arrays at once
-via fancy indexing.  This caps the supported order at q <= 256, which is
-far beyond the scale where exhaustive weight enumeration stays practical
-anyway.
+Every field eagerly precomputes dense q x q numpy tables, applied to
+whole arrays at once by fancy indexing; this caps the order at q <= 256,
+far beyond where exhaustive weight enumeration stays practical.  Arrays
+add by characteristic, in `GF.vadd` and `GF.vsum`: for p = 2 the bits of
+a code are its GF(2) digits, so codes add by XOR; odd p uses the tables.
 
 Built-in irreducible polynomials (little-endian coefficient tuples):
 
@@ -87,12 +87,12 @@ class GF:
         the built-in defaults for q in {4, 8, 9} and otherwise require an
         explicit polynomial.
 
-    Instances are immutable and safe to share between threads; all
-    operations are pure table lookups.
+    Instances are immutable and safe to share between threads.  Products
+    and inverses are table lookups; in characteristic 2 codes add by XOR.
     """
 
-    __slots__ = ("p", "m", "q", "irreducible", "add_table", "sub_table",
-                 "neg_table", "mul_table", "inv_table", "_digits", "_ppow")
+    __slots__ = ("p", "m", "q", "irreducible", "add_table", "neg_table",
+                 "mul_table", "inv_table", "_digits", "_ppow")
 
     def __init__(self, q: int, irreducible: Sequence[int] | None = None) -> None:
         if isinstance(q, int) and q > MAX_Q:
@@ -144,15 +144,14 @@ class GF:
 
         self.add_table = add.astype(_DTYPE)
         self.neg_table = neg.astype(_DTYPE)
-        self.sub_table = self.add_table[:, self.neg_table]
         self.mul_table = mul.astype(_DTYPE)
         # Row 0 holds no 1, so argmax gives 0 there.
         self.inv_table = (mul == 1).argmax(axis=1).astype(_DTYPE)
 
         self._digits = digits.astype(np.int64)
         self._ppow = ppow
-        for table in (self.add_table, self.sub_table, self.neg_table,
-                      self.mul_table, self.inv_table, self._digits, self._ppow):
+        for table in (self.add_table, self.neg_table, self.mul_table,
+                      self.inv_table, self._digits, self._ppow):
             table.setflags(write=False)
 
     def _pow_by_table(self, a: int, e: int) -> int:
@@ -178,7 +177,7 @@ class GF:
         return int(self.add_table[self._check(a), self._check(b)])
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.sub_table[self._check(a), self._check(b)])
+        return int(self.add_table[self._check(a), self.neg_table[self._check(b)]])
 
     def mul(self, a: int, b: int) -> int:
         """Polynomial product reduced modulo the field polynomial."""
@@ -212,14 +211,17 @@ class GF:
     # vectorized operations on arrays of element codes (no validation)
     # ------------------------------------------------------------------
     def vadd(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.add_table[x, y]
+        """Elementwise sum; for p = 2 also of words packed from GF(2) digits."""
+        return x ^ y if self.p == 2 else self.add_table[x, y]
 
     def vmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.mul_table[x, y]
 
     def vsum(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Field sum along a nonnegative axis, via base-p digit arithmetic."""
+        """Field sum along a nonnegative axis: XOR for p = 2, else digit sums."""
         assert axis >= 0
+        if self.p == 2:
+            return np.bitwise_xor.reduce(np.asarray(values, dtype=_DTYPE), axis=axis)
         d = self._digits[np.asarray(values, dtype=np.int64)]
         s = d.sum(axis=axis, dtype=np.int64) % self.p
         return (s @ self._ppow).astype(_DTYPE)

@@ -92,10 +92,10 @@ class GfMatrix:
             pivot = int(a[r, c])
             if pivot != 1:
                 a[r] = f.mul_table[int(f.inv_table[pivot])][a[r]]
-            factors = a[:, c].copy()
+            factors = f.neg_table[a[:, c]]
             factors[r] = 0
             if factors.any():
-                a = f.sub_table[a, f.mul_table[factors[:, None], a[r][None, :]]]
+                a = f.vadd(a, f.mul_table[factors[:, None], a[r][None, :]])
             pivots.append(c)
             r += 1
         reduced = GfMatrix(f, a[:r]) if r else GfMatrix.zeros(f, 0, n_cols)
@@ -157,10 +157,9 @@ class GfMatrix:
             raise ValueError(f"vectors must have {self.cols} columns")
         reduced, pivots = self.rref()
         for k, pc in enumerate(pivots):
-            coef = x[:, pc]
+            coef = f.neg_table[x[:, pc]]
             if coef.any():
-                x = f.sub_table[x, f.mul_table[coef[:, None],
-                                               reduced.array[k][None, :]]]
+                x = f.vadd(x, f.mul_table[coef[:, None], reduced.array[k][None, :]])
         return x
 
     def row_space_contains(self, vectors) -> np.ndarray:

@@ -32,8 +32,9 @@ One walk serves every field GF(p^m): the rows x^k r of each r in [M; R]
 form a basis over GF(p), and blocks of words follow each other in modular
 p-ary Gray order, one added row per step.  Only the vector format depends
 on q: over GF(2) each (a|b) is packed into uint64 words (32 positions per
-word, a in the low half), added by XOR and weighed by population counts;
-other fields add int16 element codes through the field's tables.
+word, a in the low half) and weighed by population counts; other fields
+keep int16 element codes.  Either way words add by `GF.vadd`: by XOR in
+characteristic 2, through the add table for odd p.
 """
 
 from __future__ import annotations
@@ -241,21 +242,17 @@ class LinearCode:
         powers = field.mul_table[p ** np.arange(field.m)]  # x^k * a for all a
         digits = powers[:, rows].transpose(1, 0, 2).reshape(
             len(rows) * field.m, 2 * n)
-        if q == 2:  # packed uint64 words; + is XOR
+        if q == 2:  # packed uint64 words
             vecs, low = _pack_gf2(digits, n), _GF2_CHUNK_BITS
-            add = np.bitwise_xor
-        else:  # int16 element codes; + is the field's table
+        else:  # int16 element codes
             vecs = digits
             low = field.m * max(1, int(_CHUNK_BITS / math.log2(q)))
-
-            def add(x, y):
-                return field.add_table[x, y]
         low = min(len(vecs), low)
         block = np.zeros((vecs.shape[1], 1), dtype=vecs.dtype)
         for vec in vecs[:low]:
             layers = [block]
             for _ in range(p - 1):
-                layers.append(add(layers[-1], vec[:, None]))
+                layers.append(field.vadd(layers[-1], vec[:, None]))
             block = np.concatenate(layers, axis=1)
             # Kept alive in this generator's frame, the layers would double
             # the live memory of a block and fault fresh pages every step.
@@ -271,8 +268,8 @@ class LinearCode:
             t, rest = low, g
             while rest % p == 0:
                 t, rest = t + 1, rest // p
-            offset = add(offset, vecs[t])
-            yield (_weights(add(block, offset[:, None]), n, q, symplectic),
+            offset = field.vadd(offset, vecs[t])
+            yield (_weights(field.vadd(block, offset[:, None]), n, q, symplectic),
                    inside if g < split else 0)
 
     def _min_weight(self, symplectic: bool, exclude: "LinearCode | None",

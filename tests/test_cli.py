@@ -198,6 +198,13 @@ def test_cli_verify_lemmas_all_positions(capsys):
     assert "[i=5]" in out
 
 
+@pytest.mark.parametrize("flag", [["--positions", ","], ["--positions="]])
+def test_cli_verify_lemmas_empty_positions_rejected(capsys, flag):
+    assert main(["verify-lemmas", str(SAMPLE), *flag]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --positions needs at least one position\n"
+
+
 def test_cli_verify_lemmas_json_single_object(capsys):
     assert main(["verify-lemmas", str(SAMPLE), "--positions", "3",
                  "--format", "json"]) == 0
@@ -282,6 +289,20 @@ def test_cli_dual_refused_by_cap_before_it_is_built(tmp_path, args):
     assert proc.returncode == 3, proc.stderr
     assert "at least 2^40000 codewords" in proc.stderr
     assert "raise the cap" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["dual"], ["verify-lemmas", "--positions", "1"]])
+def test_cli_out_of_memory_exit_code(tmp_path, args):
+    # Neither command enumerates the dual, so no cap refuses its
+    # 40000 x 40000 basis; the allocation fails under the 1.5 GiB limit.
+    zero = tmp_path / "zero.txt"
+    zero.write_text("q 2\nn 20000\n")
+    proc = _run_cli([args[0], str(zero), *args[1:]],
+                    preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_cap_error_keeps_the_exact_count():

@@ -1,7 +1,9 @@
 """Field arithmetic: frozen examples, axioms, and construction errors."""
 
+import functools
 import itertools
 
+import numpy as np
 import pytest
 
 from eaqecc import GF, prime_power_decomposition
@@ -213,3 +215,23 @@ def test_associativity_and_distributivity(q):
                 assert f.add(ab_add, c) == f.add(a, f.add(b, c))
                 assert f.mul(ab_mul, c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+# ---------------------------------------------------------------------
+# array arithmetic against the tables
+# ---------------------------------------------------------------------
+@pytest.mark.parametrize("q", AXIOM_ORDERS + [27, 64, 256])
+def test_array_arithmetic_matches_tables(q):
+    """`vadd` and `vsum` against `add_table`, which digit arithmetic
+    builds independently of the XOR route, and `sub` undone by `add`."""
+    f = make_field(q)
+    codes = np.arange(q, dtype=np.int16)
+    assert np.array_equal(f.vadd(codes[:, None], codes[None, :]), f.add_table)
+    values = np.random.default_rng(q).integers(0, q, size=(6, 9), dtype=np.int16)
+    for axis in (0, 1):
+        lanes = np.moveaxis(values, axis, -1)
+        folds = [functools.reduce(f.add, lane.tolist()) for lane in lanes]
+        assert f.vsum(values, axis=axis).tolist() == folds
+    for a in f.elements():
+        for b in f.elements():
+            assert f.add(f.sub(a, b), b) == a

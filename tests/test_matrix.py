@@ -13,7 +13,9 @@ from conftest import FIVE_QUBIT_ROWS, FIVE_QUBIT_DUAL_ROWS
 from oracles import row_space_sum, symplectic_form_matrix
 
 # GF(9) is an odd-p extension field: its negation acts digit-wise.
+# GF(16) adds by XOR over four bits.
 FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+FIELDS[16] = GF(16, (1, 1, 0, 0, 1))  # x^4 + x + 1
 
 
 @st.composite

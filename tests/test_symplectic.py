@@ -19,6 +19,7 @@ from oracles import (_codewords, min_hamming_weight_bruteforce,
                      symplectic_form_matrix, word_weight)
 
 FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+FIELDS[16] = GF(16, (1, 1, 0, 0, 1))  # x^4 + x + 1
 
 
 # ---------------------------------------------------------------------
@@ -256,6 +257,7 @@ def test_min_weight_packed_multiword(n):
     (4, 4, 5, 1, 4), (4, 4, 5, 3, 4),
     (8, 3, 4, 1, 6), (8, 3, 4, 3, 6), (8, 3, 5, 2, None),
     (9, 3, 4, 1, 7), (9, 3, 4, 3, 7),
+    (16, 2, 3, 1, 8), (16, 2, 3, 2, 8),
 ])
 def test_codeword_chunks_visit_every_word_once(monkeypatch, q, n, dim, sub,
                                                bits):
