@@ -183,10 +183,6 @@ def emit_report(report: TheoremReport, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_from_json(text: str) -> TheoremReport:
-    return TheoremReport.from_dict(json.loads(text))
-
-
 def _params_text(params) -> str:
     def fmt(value):
         if value is None:
@@ -260,6 +256,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
     code = _load(args.file)
+    pset = None
+    if getattr(args, "positions", None) is not None:
+        pset = PositionSet.parse(args.positions)
+        if not pset:
+            raise ValueError("--positions needs at least one position")
+        pset.validate_for(code.n)
 
     if args.command == "params":
         params = code.params(cap=args.cap)
@@ -274,13 +276,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command in ("puncture", "shorten"):
-        pset = PositionSet.parse(args.positions)
         result = (puncture if args.command == "puncture" else shorten)(code, pset)
         _emit_code(result, args.format)
         return 0
 
     if args.command == "construct":
-        pset = PositionSet.parse(args.positions)
         result, report = construct_eaqecc(code, pset, cap=args.cap)
         if args.format == "json":
             print(json.dumps({"code": code_to_dict(result),
@@ -292,14 +292,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.overall else 1
 
     if args.command == "verify-lemmas":
-        if args.positions is None:
-            positions = list(range(1, code.n + 1))
-        else:
-            pset = PositionSet.parse(args.positions)
-            if not pset:
-                raise ValueError("--positions needs at least one position")
-            pset.validate_for(code.n)
-            positions = list(pset)
+        positions = list(range(1, code.n + 1)) if pset is None else list(pset)
         reports = [verify_lemmas(code, i, cap=args.cap) for i in positions]
         report = merge_lemma_reports(reports, positions)
         sys.stdout.write(emit_report(report, args.format))

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,18 +101,7 @@ class CodeParams:
         return f"[[{self.n},{self.k},{d};{self.c}]]_{self.q}"
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q, "n": self.n, "k": self.k, "d": self.d, "c": self.c,
-            "pure_d": self.pure_d,
-            "is_stabilizer_qecc": self.is_stabilizer_qecc,
-            "display": self.display(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CodeParams":
-        return cls(q=data["q"], n=data["n"], k=data["k"], d=data["d"],
-                   c=data["c"], pure_d=data["pure_d"],
-                   is_stabilizer_qecc=data["is_stabilizer_qecc"])
+        return {**asdict(self), "display": self.display()}
 
 
 class LinearCode:

@@ -24,7 +24,7 @@ code's coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Iterable
 
 import numpy as np
@@ -106,29 +106,24 @@ class CheckResult:
     actual: str
     status: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "expected": self.expected,
-                "actual": self.actual, "status": self.status}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckResult":
-        return cls(name=data["name"], expected=data["expected"],
-                   actual=data["actual"], status=data["status"])
-
 
 @dataclass
 class TheoremReport:
     """Outcome of a construction or lemma verification run.
 
-    `overall` is True iff no check failed; vacuous checks (hypothesis not
-    met) neither pass nor fail.
+    The verdict `overall` is derived from the checks, never stored: it is
+    True iff no check failed.  Vacuous checks (hypothesis not met) neither
+    pass nor fail.
     """
 
     positions: PositionSet
     input_params: CodeParams
     output_params: CodeParams | None
     checks: list[CheckResult] = dc_field(default_factory=list)
-    overall: bool = True
+
+    @property
+    def overall(self) -> bool:
+        return all(c.status != FAIL for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -136,20 +131,9 @@ class TheoremReport:
             "input_params": self.input_params.to_dict(),
             "output_params": (self.output_params.to_dict()
                               if self.output_params is not None else None),
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "overall": self.overall,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TheoremReport":
-        out = data["output_params"]
-        return cls(
-            positions=PositionSet(data["positions"]),
-            input_params=CodeParams.from_dict(data["input_params"]),
-            output_params=CodeParams.from_dict(out) if out is not None else None,
-            checks=[CheckResult.from_dict(c) for c in data["checks"]],
-            overall=data["overall"],
-        )
 
 
 def _check(name: str, expected, actual, ok: bool) -> CheckResult:
@@ -162,10 +146,6 @@ def _check_eq(name: str, expected, actual) -> CheckResult:
 
 def _vacuous(name: str, note: str) -> CheckResult:
     return CheckResult(name, "hypothesis: min symplectic weight >= 2", note, VACUOUS)
-
-
-def _overall(checks: Iterable[CheckResult]) -> bool:
-    return all(c.status != FAIL for c in checks)
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +170,6 @@ def shorten(code: LinearCode, positions) -> LinearCode:
     pset = _as_positions(positions)
     pset.validate_for(code.n)
     cols = pset.columns(code.n)
-    if not cols:
-        return code
     keep = [j for j in range(2 * code.n) if j not in set(cols)]
     arr = code.basis.array
     permuted = GfMatrix(code.field,
@@ -206,13 +184,20 @@ def shorten(code: LinearCode, positions) -> LinearCode:
 # ----------------------------------------------------------------------
 # the construction
 # ----------------------------------------------------------------------
-def _admissible_distance(code: LinearCode, ell: int, cap: int) -> int:
-    """The dual's minimum symplectic weight d, once the code is known to be
-    self-orthogonal and 1 <= ell <= d-1; raises ValueError otherwise."""
+def _dual_distance(code: LinearCode, cap: int) -> int | None:
+    """The dual's minimum symplectic weight, for a self-orthogonal code;
+    raises ValueError otherwise, and refuses a dual past the cap before
+    building it."""
     if not code.is_self_orthogonal():
         raise ValueError("input code is not self-orthogonal under the symplectic form")
     code.require_dual_within_cap(cap)
-    d = code.dual().min_symplectic_weight(cap=cap)
+    return code.dual().min_symplectic_weight(cap=cap)
+
+
+def _admissible_distance(code: LinearCode, ell: int, cap: int) -> int:
+    """The dual's minimum symplectic weight d, once the code is known to be
+    self-orthogonal and 1 <= ell <= d-1; raises ValueError otherwise."""
+    d = _dual_distance(code, cap)
     if d is None or not 1 <= ell <= d - 1:
         raise ValueError(f"l must satisfy 1 <= l <= d-1 (l={ell}, d={d})")
     return d
@@ -223,14 +208,12 @@ def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
     """Puncture a self-orthogonal code and verify the resulting parameters.
 
     Requires 1 <= l <= d-1 where l is the number of positions and d is
-    the minimum symplectic weight of the dual.  The code caches its dual
-    and the dual memoizes d, so a sweep over many position sets of one
-    code enumerates its dual once.  Returns the punctured code together
-    with a report whose six checks cover dimension preservation, the
-    entanglement and logical-qudit counts, the distance lower bound, the
-    exchange of puncturing and shortening under duality, and the
-    intersection identity tying the new code's self-orthogonal part to
-    shortening.
+    the minimum symplectic weight of the dual.  Returns the punctured
+    code together with a report whose six checks cover dimension
+    preservation, the entanglement and logical-qudit counts, the distance
+    lower bound, the exchange of puncturing and shortening under duality,
+    and the intersection identity tying the new code's self-orthogonal
+    part to shortening.
     """
     pset = _as_positions(positions)
     pset.validate_for(code.n)
@@ -263,24 +246,24 @@ def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
                meet == shortened_code),
     ]
     report = TheoremReport(positions=pset, input_params=input_params,
-                           output_params=output_params, checks=checks,
-                           overall=_overall(checks))
+                           output_params=output_params, checks=checks)
     return punctured, report
 
 
 # ----------------------------------------------------------------------
 # lemma-level verification
 # ----------------------------------------------------------------------
+_LEMMA_CHECKS = ("puncture_preserves_dim", "dual_matrix_column_condition",
+                 "shorten_dual_drops_dim_by_two",
+                 "shortened_dual_is_dual_of_punctured")
+
+
 def _zero_column_exists(mat: GfMatrix) -> bool:
-    if mat.rows == 0:
-        return mat.cols > 0
     return bool((~mat.array.any(axis=0)).any())
 
 
 def _pair_dependent(mat: GfMatrix, col_a: int, col_b: int) -> bool:
     """True iff the two columns are linearly dependent (as a 2-column matrix)."""
-    if mat.rows == 0:
-        return True
     pair = GfMatrix(mat.field, np.stack([mat.array[:, col_a],
                                          mat.array[:, col_b]], axis=1))
     return pair.rank() <= 1
@@ -305,9 +288,8 @@ def verify_lemmas(code: LinearCode, position: int,
     hypothesis = w is not None and w >= 2
     dual = code.dual()
     mat = dual.basis
-    i0 = position - 1
     zero_col = _zero_column_exists(mat)
-    dependent = _pair_dependent(mat, i0, code.n + i0)
+    dependent = _pair_dependent(mat, *pset.columns(code.n))
     column_condition_violated = zero_col or dependent
     punctured = puncture(code, pset)
 
@@ -329,12 +311,7 @@ def verify_lemmas(code: LinearCode, position: int,
         ]
     else:
         note = f"hypothesis not met (min weight {w})"
-        checks = [
-            _vacuous("puncture_preserves_dim", note),
-            _vacuous("dual_matrix_column_condition", note),
-            _vacuous("shorten_dual_drops_dim_by_two", note),
-            _vacuous("shortened_dual_is_dual_of_punctured", note),
-        ]
+        checks = [_vacuous(name, note) for name in _LEMMA_CHECKS]
 
     if column_condition_violated:
         checks.append(_check("column_condition_implies_weight_one",
@@ -347,7 +324,7 @@ def verify_lemmas(code: LinearCode, position: int,
     return TheoremReport(positions=pset,
                          input_params=code.structural_params(),
                          output_params=punctured.structural_params(),
-                         checks=checks, overall=_overall(checks))
+                         checks=checks)
 
 
 def merge_lemma_reports(reports: list[TheoremReport],
@@ -360,8 +337,7 @@ def merge_lemma_reports(reports: list[TheoremReport],
               for rep, i in zip(reports, positions) for check in rep.checks]
     return TheoremReport(positions=PositionSet(positions),
                          input_params=reports[0].input_params,
-                         output_params=None, checks=checks,
-                         overall=_overall(checks))
+                         output_params=None, checks=checks)
 
 
 # ----------------------------------------------------------------------
@@ -378,12 +354,8 @@ def compare_applicability(code: LinearCode,
     exceeds its Hamming weight (a nonzero pair costs at most two nonzero
     entries), the first bound always dominates the second.
     """
-    if not code.is_self_orthogonal():
-        raise ValueError("input code is not self-orthogonal under the symplectic form")
-    code.require_dual_within_cap(cap)
-    dual = code.dual()
-    d = dual.min_symplectic_weight(cap=cap)
-    w_h = dual.min_hamming_weight(cap=cap)
+    d = _dual_distance(code, cap)
+    w_h = code.dual().min_hamming_weight(cap=cap)
     if d is None or w_h is None:
         raise ValueError("dual code is trivial; applicability is undefined")
     return d - 1, (w_h + 1) // 2 - 1
@@ -392,11 +364,15 @@ def compare_applicability(code: LinearCode,
 def search_positions(code: LinearCode, ell: int, cap: int = DEFAULT_CAP,
                      limit: int | None = None
                      ) -> list[tuple[PositionSet, CodeParams]]:
-    """Run the construction over position sets of size `ell`.
+    """Parameters of the punctured code over position sets of size `ell`.
 
-    Evaluates all C(n, ell) sets (or the first `limit` in lexicographic
-    order) and returns (positions, parameters) pairs sorted by descending
-    dual minimum weight, ties broken by ascending positions.
+    Checks the construction's precondition once, which enumerates the
+    code's dual once for the whole sweep, then evaluates the punctured
+    code's `params` for all C(n, ell) sets (or the first `limit` in
+    lexicographic order).  These equal the `output_params` that
+    `construct_eaqecc` reports for each set.  Returns (positions,
+    parameters) pairs sorted by descending dual minimum weight, ties
+    broken by ascending positions.
     """
     _admissible_distance(code, ell, cap)
     combos = itertools.combinations(range(1, code.n + 1), ell)
@@ -405,7 +381,6 @@ def search_positions(code: LinearCode, ell: int, cap: int = DEFAULT_CAP,
     results = []
     for combo in combos:
         pset = PositionSet(combo)
-        _, report = construct_eaqecc(code, pset, cap=cap)
-        results.append((pset, report.output_params))
+        results.append((pset, puncture(code, pset).params(cap=cap)))
     results.sort(key=lambda item: (-(item[1].pure_d or 0), item[0].positions))
     return results

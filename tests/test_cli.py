@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import eaqecc
-from eaqecc import (CapExceededError, CodeFileError, GF, LinearCode,
+from eaqecc import (FAIL, PASS, VACUOUS, CapExceededError, CheckResult,
+                    CodeFileError, GF, LinearCode, PositionSet, TheoremReport,
                     construct_eaqecc, verify_lemmas)
 from eaqecc.cli import (bundled_code_path, code_to_dict, emit_report, main,
-                        parse_code_file, report_from_json, serialize_code)
+                        parse_code_file, serialize_code)
+from eaqecc.transform import merge_lemma_reports
 
 from conftest import vec
 from oracles import random_code
@@ -132,11 +134,70 @@ def test_emit_report_vacuous(gf2):
     assert "VACUOUS" in text
 
 
-def test_report_json_round_trip(five_qubit):
+PARAMS_KEYS = ["q", "n", "k", "d", "c", "pure_d", "is_stabilizer_qecc", "display"]
+CHECK_KEYS = ["name", "expected", "actual", "status"]
+
+
+def _assert_params_json(data, params):
+    assert list(data) == PARAMS_KEYS
+    assert [data[key] for key in PARAMS_KEYS[:-1]] == [
+        params.q, params.n, params.k, params.d, params.c, params.pure_d,
+        params.is_stabilizer_qecc]
+    assert data["display"] == params.display()
+
+
+def test_report_json_content(five_qubit):
     _, report = construct_eaqecc(five_qubit, [3])
-    assert report_from_json(emit_report(report, "json")) == report
     lemma_report = verify_lemmas(five_qubit, 2)
-    assert report_from_json(emit_report(lemma_report, "json")) == lemma_report
+    for rep, positions in ((report, [3]), (lemma_report, [2])):
+        data = json.loads(emit_report(rep, "json"))
+        assert list(data) == ["positions", "input_params", "output_params",
+                              "checks", "overall"]
+        assert data["positions"] == positions
+        assert data["overall"] is True
+        assert [list(c) for c in data["checks"]] == [CHECK_KEYS] * len(rep.checks)
+        assert [[c[key] for key in CHECK_KEYS] for c in data["checks"]] == [
+            [c.name, c.expected, c.actual, c.status] for c in rep.checks]
+        _assert_params_json(data["input_params"], rep.input_params)
+        _assert_params_json(data["output_params"], rep.output_params)
+    assert json.loads(emit_report(report, "json"))["output_params"] == {
+        "q": 2, "n": 4, "k": 1, "d": 3, "c": 1, "pure_d": 3,
+        "is_stabilizer_qecc": False, "display": "[[4,1,3;1]]_2"}
+    lemma_out = json.loads(emit_report(lemma_report, "json"))["output_params"]
+    assert (lemma_out["d"], lemma_out["display"]) == (None, "[[4,1,?;1]]_2")
+
+
+def _report(*statuses):
+    checks = [CheckResult(f"check{i}", "e", "a", s) for i, s in enumerate(statuses)]
+    params = LinearCode(GF(2), 1).structural_params()
+    return TheoremReport(positions=PositionSet([1]), input_params=params,
+                         output_params=None, checks=checks)
+
+
+def test_failing_check_fails_the_verdict():
+    report = _report(PASS, FAIL, VACUOUS)
+    assert report.overall is False
+    assert emit_report(report, "text").endswith("verdict: FAIL\n")
+    assert json.loads(emit_report(report, "json"))["overall"] is False
+
+
+def test_vacuous_checks_alone_pass():
+    assert _report(VACUOUS, VACUOUS).overall is True
+
+
+def test_merged_report_fails_when_one_part_fails():
+    merged = merge_lemma_reports([_report(PASS), _report(PASS, FAIL)], [1, 2])
+    assert merged.overall is False
+    assert [c.name for c in merged.checks] == [
+        "check0[i=1]", "check0[i=2]", "check1[i=2]"]
+
+
+def test_cli_construct_failing_report_exits_1(capsys, monkeypatch):
+    code = parse_code_file(SAMPLE.read_text())
+    monkeypatch.setattr(eaqecc.cli, "construct_eaqecc",
+                        lambda *args, **kwargs: (code, _report(PASS, FAIL)))
+    assert main(["construct", str(SAMPLE), "--positions", "3"]) == 1
+    assert capsys.readouterr().out.endswith("verdict: FAIL\n")
 
 
 # ---------------------------------------------------------------------
@@ -198,11 +259,15 @@ def test_cli_verify_lemmas_all_positions(capsys):
     assert "[i=5]" in out
 
 
-@pytest.mark.parametrize("flag", [["--positions", ","], ["--positions="]])
-def test_cli_verify_lemmas_empty_positions_rejected(capsys, flag):
-    assert main(["verify-lemmas", str(SAMPLE), *flag]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: --positions needs at least one position\n"
+@pytest.mark.parametrize("flag", [["--positions", ","], ["--positions="]],
+                         ids=["comma", "empty"])
+@pytest.mark.parametrize("command", ["puncture", "shorten", "construct",
+                                     "verify-lemmas"])
+def test_cli_empty_positions_rejected(capsys, command, flag):
+    assert main([command, str(SAMPLE), *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --positions needs at least one position\n"
 
 
 def test_cli_verify_lemmas_json_single_object(capsys):
