@@ -31,10 +31,14 @@ outside M.  `params` therefore enumerates the dual once.
 One walk serves every field GF(p^m): the rows x^k r of each r in [M; R]
 form a basis over GF(p), and blocks of words follow each other in modular
 p-ary Gray order, one added row per step.  Only the vector format depends
-on q: over GF(2) each (a|b) is packed into uint64 words (32 positions per
-word, a in the low half) and weighed by population counts; other fields
-keep int16 element codes.  Either way words add by `GF.vadd`: by XOR in
-characteristic 2, through the add table for odd p.
+on the characteristic.  For p = 2 the bits of an element code are its
+GF(2) digits, so a vector (a|b) is held as m bit planes, plane k packing
+bit k of every code into uint64 words (32 positions per word, a in the low
+half), and words add by XOR; a position is nonzero when its bit is set in
+any plane, so weights are population counts of the planes' OR.  Blocks
+hold about 2^16 such words and are weighed in buffers allocated once per
+walk; q = 2 is the one-plane case.  Odd p keeps int16 element codes,
+added through the add table.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .matrix import GfMatrix
 
 DEFAULT_CAP = 1 << 22
 _CHUNK_BITS = 14  # element codes: about 2^14 codewords of 2n entries per block
-_GF2_CHUNK_BITS = 16  # packed words (q = 2): 2^16 codewords per block
+_GF2_CHUNK_BITS = 16  # bit planes (p = 2): about 2^16 uint64 words per block
 _HALF = 32  # positions per packed word: a in the low half, b in the high
 _LOW_HALF = np.uint64((1 << _HALF) - 1)
 
@@ -217,7 +221,9 @@ class LinearCode:
 
         `rows` is a basis [M; R] of this code from `_coset_basis`.  Yields
         (weights, start) per block: the block's codewords from index
-        `start` on lie outside span(M).  The zero word comes first.
+        `start` on lie outside span(M).  The zero word comes first.  A
+        yielded weights array may be a buffer that the next block
+        overwrites, so it stays valid only until the walk resumes.
 
         The rows x^k r of each r in `rows` (q = p^e, k < e) are a basis
         over GF(p).  The first `low` of them span one block by repeated
@@ -225,17 +231,23 @@ class LinearCode:
         on row i; the others step in modular p-ary Gray order (Knuth,
         TAOCP 7.2.1.1), where step g adds row low + t once, t the number
         of trailing zero base-p digits of g.
+
+        For p = 2 a codeword is e bit planes of W packed uint64 words, and
+        a block holds about 2^_GF2_CHUNK_BITS of these words: 2^16
+        codewords when e W = 1, fewer for wider ones.  Each step XORs the
+        block and its offset into one buffer.  For odd p a block holds
+        about 2^_CHUNK_BITS codewords of 2n int16 element codes.
         """
-        field, n = self.field, self.n
-        p, q = field.p, field.q
+        field, n, p = self.field, self.n, self.field.p
         powers = field.mul_table[p ** np.arange(field.m)]  # x^k * a for all a
         digits = powers[:, rows].transpose(1, 0, 2).reshape(
             len(rows) * field.m, 2 * n)
-        if q == 2:  # packed uint64 words
-            vecs, low = _pack_gf2(digits, n), _GF2_CHUNK_BITS
+        if p == 2:  # e bit planes of packed uint64 words
+            vecs = _pack_gf2(digits, n, field.m)
+            low = max(0, _GF2_CHUNK_BITS - (vecs.shape[1] - 1).bit_length())
         else:  # int16 element codes
             vecs = digits
-            low = field.m * max(1, int(_CHUNK_BITS / math.log2(q)))
+            low = field.m * max(1, int(_CHUNK_BITS / math.log2(field.q)))
         low = min(len(vecs), low)
         block = np.zeros((vecs.shape[1], 1), dtype=vecs.dtype)
         for vec in vecs[:low]:
@@ -251,15 +263,23 @@ class LinearCode:
         # The Gray code of g has the highest nonzero digit of g, so a
         # block's offset lies in M iff g < p^(m_digits - low).
         split = p ** max(0, m_digits - low)
-        yield _weights(block, n, q, symplectic), inside
+        weigh = _weigher(field, n, block.shape, symplectic)
+        yield weigh(block), inside
+        if p == 2:
+            shifted = np.empty_like(block)
+
+            def shift(offset):
+                return np.bitwise_xor(block, offset[:, None], out=shifted)
+        else:
+            def shift(offset):
+                return field.vadd(block, offset[:, None])
         offset = np.zeros(vecs.shape[1], dtype=vecs.dtype)
         for g in range(1, p ** (len(vecs) - low)):
             t, rest = low, g
             while rest % p == 0:
                 t, rest = t + 1, rest // p
             offset = field.vadd(offset, vecs[t])
-            yield (_weights(field.vadd(block, offset[:, None]), n, q, symplectic),
-                   inside if g < split else 0)
+            yield weigh(shift(offset)), inside if g < split else 0
 
     def _min_weight(self, symplectic: bool, exclude: "LinearCode | None",
                     cap: int) -> int | None:
@@ -341,32 +361,59 @@ class LinearCode:
 # ----------------------------------------------------------------------
 # vector formats of LinearCode._codeword_chunks
 # ----------------------------------------------------------------------
-def _pack_gf2(rows: np.ndarray, n: int) -> np.ndarray:
-    """GF(2) vectors (a|b) as (len(rows), W) uint64, W = ceil(n / 32).
+def _pack_gf2(rows: np.ndarray, n: int, e: int) -> np.ndarray:
+    """Vectors (a|b) over GF(2^e) as (len(rows), e W) uint64 bit planes,
+    W = ceil(n / 32).
 
-    Word j holds a[32j:32j+32] in its low half and b[32j:32j+32] in its
-    high half, bit i for position 32j+i.
+    Words kW to kW + W - 1 form plane k, which holds bit k of each element
+    code: word j of a plane holds a[32j:32j+32] in its low half and
+    b[32j:32j+32] in its high half, bit i for position 32j+i.
     """
-    width = max(1, -(-n // _HALF))
-    pad = ((0, 0), (0, width * _HALF - n))
-    halves = [np.pad(rows[:, :n], pad), np.pad(rows[:, n:], pad)]
-    bits = np.concatenate([h.reshape(len(rows), width, _HALF) for h in halves],
-                          axis=2).astype(np.uint64)
-    return np.bitwise_or.reduce(bits << np.arange(2 * _HALF, dtype=np.uint64),
-                                axis=2)
+    width, count = max(1, -(-n // _HALF)), len(rows)
+    bits = np.zeros((count, e, 2, width * _HALF), dtype=np.uint8)
+    bits[..., :n] = ((rows[:, None, :] >> np.arange(e)[:, None]) & 1).reshape(
+        count, e, 2, n)
+    # The 8 bytes of word j, least significant first: a's 32 bits, then b's.
+    octets = np.packbits(bits.reshape(count, e, 2, width, _HALF).swapaxes(2, 3),
+                         axis=-1, bitorder="little")
+    return octets.reshape(count, e * width, 8).view("<u8")[..., 0].astype(np.uint64)
 
 
-def _weights(words: np.ndarray, n: int, q: int, symplectic: bool) -> np.ndarray:
-    """Weights of the vectors in the columns of `words`: packed uint64
-    words for q = 2, 2n element codes otherwise."""
-    if q != 2:
-        if symplectic:
-            words = words[:n] | words[n:]
-        return np.count_nonzero(words, axis=0)
-    if symplectic:  # bit i of the low half: a_i | b_i
-        words = (words & _LOW_HALF) | (words >> _HALF)
-    counts = np.bitwise_count(words)
-    return counts[0] if len(counts) == 1 else counts.sum(axis=0)
+def _weigher(field: GF, n: int, shape: tuple[int, int], symplectic: bool):
+    """The weights of the codewords in the columns of a `shape` block:
+    2n element codes for odd p, e bit planes of W packed words for p = 2.
+
+    The packed weights go through buffers allocated here, once per walk,
+    so each call overwrites the array the previous call returned.
+    """
+    if field.p != 2:
+        def weigh(words):
+            if symplectic:
+                words = words[:n] | words[n:]
+            return np.count_nonzero(words, axis=0)
+        return weigh
+    e, cols = field.m, shape[1]
+    width = shape[0] // e
+    union = np.empty((width, cols), np.uint64)  # OR of the e planes, b >> 32
+    folded = np.empty((width, cols), np.uint64)  # a | b in the low half
+    counts = np.empty((width, cols), np.uint8)
+    total = np.empty(cols, np.intp)
+
+    def weigh(words):
+        if e > 1:  # pairwise: faster than bitwise_or.reduce over planes
+            planes = words.reshape(e, width, cols)
+            words = np.bitwise_or(planes[0], planes[1], out=union)
+            for plane in planes[2:]:
+                np.bitwise_or(union, plane, out=union)
+        if symplectic:  # bit i of the low half: a_i | b_i
+            np.bitwise_and(words, _LOW_HALF, out=folded)
+            words = np.bitwise_or(folded, np.right_shift(words, _HALF, out=union),
+                                  out=folded)
+        np.bitwise_count(words, out=counts)
+        if width == 1:
+            return counts[0]
+        return np.add.reduce(counts, axis=0, out=total)
+    return weigh
 
 
 def random_self_orthogonal(field: GF, n: int, target_dim: int,

@@ -234,8 +234,9 @@ def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
         _check_eq("dim_preserved", code.dim, punctured.dim),
         _check_eq("entanglement_equals_l", ell, output_params.c),
         _check_eq("k_preserved", input_params.k, k_by_formula),
+        # A dual of {0} has no nonzero word: its minimum is vacuously >= d.
         _check("dual_min_weight_at_least_d", f">= {d}", output_params.pure_d,
-               output_params.pure_d is not None and output_params.pure_d >= d),
+               output_params.pure_d is None or output_params.pure_d >= d),
         _check("duality_exchange",
                "dual of punctured == shortened dual",
                "equal" if new_dual == shortened_dual else "different",

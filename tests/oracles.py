@@ -107,18 +107,17 @@ def min_weight_by_growing_support(code, up_to_weight: int | None = None,
 
 
 def _codewords(code):
-    """Every codeword as a tuple, by a pure-Python walk over all
-    coefficient tuples."""
+    """Every codeword as a tuple, by a pure-Python walk: the words of the
+    first i basis rows plus each multiple of row i + 1, so the words come
+    in the order of their coefficient tuples."""
     f = code.field
-    rows = [list(map(int, r)) for r in code.basis.array]
-    width = 2 * code.n
-    for coeffs in itertools.product(range(f.q), repeat=len(rows)):
-        word = [0] * width
-        for coef, row in zip(coeffs, rows):
-            if coef:
-                for j in range(width):
-                    word[j] = f.add(word[j], f.mul(coef, row[j]))
-        yield tuple(word)
+    add = f.add_table.tolist()
+    words = [(0,) * (2 * code.n)]
+    for row in code.basis.array.tolist():
+        multiples = [[f.mul(c, v) for v in row] for c in f.elements()]
+        words = [tuple(add[a][b] for a, b in zip(word, mult))
+                 for word in words for mult in multiples]
+    return words
 
 
 def word_weight(word, n: int, symplectic: bool = True) -> int:

@@ -13,7 +13,7 @@ import pytest
 import eaqecc
 from eaqecc import (FAIL, PASS, VACUOUS, CapExceededError, CheckResult,
                     CodeFileError, GF, LinearCode, PositionSet, TheoremReport,
-                    construct_eaqecc, verify_lemmas)
+                    construct_eaqecc, random_self_orthogonal, verify_lemmas)
 from eaqecc.cli import (bundled_code_path, code_to_dict, emit_report, main,
                         parse_code_file, serialize_code)
 from eaqecc.transform import merge_lemma_reports
@@ -224,6 +224,17 @@ def test_cli_dual_output_is_parseable(capsys):
     assert dual.dim == 6
     code = parse_code_file(SAMPLE.read_text())
     assert dual == code.dual()
+
+
+def test_cli_construct_vacuous_distance_clause_passes(tmp_path, capsys):
+    path = tmp_path / "selfdual9.txt"
+    path.write_text(serialize_code(random_self_orthogonal(GF(9), 4, 4, seed=0)))
+    assert main(["construct", str(path), "--positions", "1,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "output: [[2,0,?;2]]_9" in lines
+    assert ("PASS dual_min_weight_at_least_d: expected >= 3, actual None"
+            in lines)
+    assert lines[-1] == "verdict: PASS"
 
 
 def test_cli_construct(capsys):

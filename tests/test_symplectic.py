@@ -5,9 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eaqecc import (CapExceededError, GF, LinearCode, random_self_orthogonal,
-                    symplectic_product, symplectic_weight)
+from eaqecc import (CapExceededError, GF, GfMatrix, LinearCode,
+                    random_self_orthogonal, symplectic_product,
+                    symplectic_weight)
 from eaqecc import symplectic
 from eaqecc.matrix import row_space_intersect
 
@@ -20,6 +22,7 @@ from oracles import (_codewords, min_hamming_weight_bruteforce,
 
 FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 FIELDS[16] = GF(16, (1, 1, 0, 0, 1))  # x^4 + x + 1
+FIELDS[256] = GF(256, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x^2 + 1
 
 
 # ---------------------------------------------------------------------
@@ -228,25 +231,63 @@ def test_min_weight_exclude_across_blocks(q, n, dim, sub):
 
 @pytest.mark.parametrize("n", [31, 32, 33, 40, 64, 70])
 def test_min_weight_packed_multiword(n):
-    """q = 2 codes wider than one 32-position word, against the
-    pure-Python oracle."""
-    rng = random.Random(n)
-    for dim in (1, 3, 7):
-        dense = random_code(FIELDS[2], n, dim, rng).basis.array
-        # Sparse rows keep weights low enough to differ between words.
-        sparse = [[int(rng.random() < 0.1) for _ in range(2 * n)]
-                  for _ in range(dim)]
-        sparse[0][n - 1] = 1  # touch the last position of each half
-        sparse[-1][2 * n - 1] = 1
-        for rows in (dense, sparse):
-            code = LinearCode(FIELDS[2], n, rows)
-            sub = LinearCode(FIELDS[2], n, code.basis.array[:1])
-            assert code.min_symplectic_weight() == \
-                min_weight_outside_bruteforce(code)
-            assert code.min_hamming_weight() == \
-                min_weight_outside_bruteforce(code, symplectic=False)
-            assert code.min_symplectic_weight(exclude=sub) == \
-                min_weight_outside_bruteforce(code, exclude=sub)
+    """Characteristic-2 codes wider than one 32-position word, so that
+    each bit plane crosses words, against the pure-Python oracle."""
+    for q, dims in [(2, (1, 3, 7)), (4, (1, 2, 4)), (8, (1, 2, 3)), (256, (1,))]:
+        f, rng = FIELDS[q], random.Random(f"{q},{n}")
+        for dim in dims:
+            dense = random_code(f, n, dim, rng).basis.array
+            # Sparse rows keep weights low enough to differ between words.
+            sparse = [[rng.randrange(1, q) if rng.random() < 0.1 else 0
+                       for _ in range(2 * n)] for _ in range(dim)]
+            sparse[0][n - 1] = q // 2  # last position of a, top plane only
+            sparse[-1][2 * n - 1] = q - 1  # last position of b, every plane
+            for rows in (dense, sparse):
+                code = LinearCode(f, n, rows)
+                sub = LinearCode(f, n, code.basis.array[:1])
+                assert code.min_symplectic_weight() == \
+                    min_weight_outside_bruteforce(code)
+                assert code.min_hamming_weight() == \
+                    min_weight_outside_bruteforce(code, symplectic=False)
+                assert code.min_symplectic_weight(exclude=sub) == \
+                    min_weight_outside_bruteforce(code, exclude=sub)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_min_weight_wider_than_a_byte(q):
+    """Per-word popcounts fit a byte, their sums over W words need not:
+    the words of weight 2n = 400 must not wrap below the minimum, 200."""
+    n = 200
+    code = LinearCode(FIELDS[q], n, [[1] * (2 * n), [1] * n + [0] * n])
+    assert code.min_hamming_weight() == n
+    assert code.min_symplectic_weight() == n
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_min_weight_characteristic_two_property(data):
+    """Both weight kinds over GF(2^e), with and without a random subcode
+    excluded, in blocks shrunk so that every walk reuses its buffers over
+    many blocks."""
+    q = data.draw(st.sampled_from([2, 4, 8, 16, 256]))
+    f = FIELDS[q]
+    n = data.draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, q - 1), min_size=2 * n, max_size=2 * n)
+    max_rows = {2: 6, 4: 3, 8: 2, 16: 2, 256: 1}[q]  # at most 256 words
+    code = LinearCode(f, n, data.draw(st.lists(entries, max_size=max_rows)))
+    coeffs = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=code.dim, max_size=code.dim),
+        min_size=1, max_size=code.dim + 1))
+    exclude = LinearCode(f, n, GfMatrix(f, coeffs) @ code.basis
+                         if code.dim else None)
+    bits = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symplectic, "_GF2_CHUNK_BITS", bits)
+        for kind in (True, False):
+            for sub in (exclude, None):
+                fresh = LinearCode(f, n, code.basis)  # no memoized minima
+                assert fresh._min_weight(kind, sub, symplectic.DEFAULT_CAP) \
+                    == min_weight_outside_bruteforce(code, sub, kind)
 
 
 @pytest.mark.parametrize("q,n,dim,sub,bits", [
@@ -255,9 +296,11 @@ def test_min_weight_packed_multiword(n):
     (2, 6, 10, 2, 4), (2, 6, 10, 7, 4),
     (3, 4, 6, 1, 4), (3, 4, 6, 4, 4), (3, 5, 9, 4, None),
     (4, 4, 5, 1, 4), (4, 4, 5, 3, 4),
+    (4, 4, 8, 3, None),
     (8, 3, 4, 1, 6), (8, 3, 4, 3, 6), (8, 3, 5, 2, None),
     (9, 3, 4, 1, 7), (9, 3, 4, 3, 7),
     (16, 2, 3, 1, 8), (16, 2, 3, 2, 8),
+    (256, 2, 2, 1, 6), (256, 2, 2, 1, None),
 ])
 def test_codeword_chunks_visit_every_word_once(monkeypatch, q, n, dim, sub,
                                                bits):

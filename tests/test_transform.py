@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from eaqecc import transform
 from eaqecc import (FAIL, GF, LinearCode, PASS, PositionSet, VACUOUS,
                     compare_applicability, construct_eaqecc, puncture,
                     random_self_orthogonal, search_positions, shorten,
@@ -220,6 +221,31 @@ def test_construct_single_positions_one_and_five(five_qubit):
         assert (p.n, p.k, p.c) == (4, 1, 1)
         assert p.pure_d >= 3
         assert report.overall
+
+
+def _distance_check(report):
+    return {c.name: c for c in report.checks}["dual_min_weight_at_least_d"]
+
+
+def test_construct_distance_clause_vacuous_when_dual_is_zero():
+    # [[4,0,3;0]]_9 punctured at two positions fills F_9^4: its dual is
+    # {0}, so pure_d is None and the clause holds over an empty set.
+    code = random_self_orthogonal(GF(9), 4, 4, seed=0)
+    punctured, report = construct_eaqecc(code, [1, 2])
+    assert punctured.dual().dim == 0
+    check = _distance_check(report)
+    assert (check.expected, check.actual, check.status) == (">= 3", "None", PASS)
+    assert report.overall
+
+
+def test_construct_distance_clause_fails_below_d(five_qubit, gf2, monkeypatch):
+    # A wrong puncture whose dual holds the weight-1 word (1000|0000).
+    weak = LinearCode(gf2, 4, [vec("1000|0000")])
+    monkeypatch.setattr(transform, "puncture", lambda code, positions: weak)
+    _, report = construct_eaqecc(five_qubit, [3])
+    check = _distance_check(report)
+    assert (check.expected, check.actual, check.status) == (">= 3", "1", FAIL)
+    assert not report.overall
 
 
 def test_construct_parameter_preservation_random():
