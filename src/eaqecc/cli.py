@@ -33,8 +33,8 @@ from .errors import CapExceededError, CodeFileError
 from .field import GF, DEFAULT_IRREDUCIBLE, MAX_Q, prime_power_decomposition
 from .symplectic import DEFAULT_CAP, LinearCode
 from .transform import (PositionSet, TheoremReport, compare_applicability,
-                        construct_eaqecc, merge_lemma_reports, puncture,
-                        search_positions, shorten, verify_lemmas)
+                        construct_eaqecc, puncture, search_positions, shorten,
+                        verify_lemmas)
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +261,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         pset = PositionSet.parse(args.positions)
         if not pset:
             raise ValueError("--positions needs at least one position")
-        pset.validate_for(code.n)
 
     if args.command == "params":
         params = code.params(cap=args.cap)
@@ -292,9 +291,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.overall else 1
 
     if args.command == "verify-lemmas":
-        positions = list(range(1, code.n + 1)) if pset is None else list(pset)
-        reports = [verify_lemmas(code, i, cap=args.cap) for i in positions]
-        report = merge_lemma_reports(reports, positions)
+        report = verify_lemmas(code, pset, cap=args.cap)
         sys.stdout.write(emit_report(report, args.format))
         return 0 if report.overall else 1
 

@@ -98,7 +98,7 @@ class GfMatrix:
                 a = f.vadd(a, f.mul_table[factors[:, None], a[r][None, :]])
             pivots.append(c)
             r += 1
-        reduced = GfMatrix(f, a[:r]) if r else GfMatrix.zeros(f, 0, n_cols)
+        reduced = GfMatrix(f, a[:r])
         result = (reduced, tuple(pivots))
         reduced._rref = result  # rref is idempotent
         self._rref = result
@@ -139,8 +139,6 @@ class GfMatrix:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return GfMatrix.zeros(self.field, self.rows, other.cols)
         f = self.field
         prods = f.mul_table[self.array[:, :, None], other.array[None, :, :]]
         return GfMatrix(f, f.vsum(prods, axis=1))
@@ -164,12 +162,8 @@ class GfMatrix:
 
     def row_space_contains(self, vectors) -> np.ndarray:
         """Boolean mask: which of the given row vectors lie in the row space."""
-        x = np.array(vectors, dtype=_DTYPE)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        mask = ~self.remainders(x).any(axis=1)
-        return mask if not single else mask[:1]
+        x = np.array(vectors, dtype=_DTYPE, ndmin=2)
+        return ~self.remainders(x).any(axis=1)
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

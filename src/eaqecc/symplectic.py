@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -98,14 +98,19 @@ class CodeParams:
     d: int | None
     c: int
     pure_d: int | None
-    is_stabilizer_qecc: bool
+
+    @property
+    def is_stabilizer_qecc(self) -> bool:
+        """True iff the code needs no entanglement (c = 0)."""
+        return self.c == 0
 
     def display(self) -> str:
         d = "?" if self.d is None else str(self.d)
         return f"[[{self.n},{self.k},{d};{self.c}]]_{self.q}"
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "display": self.display()}
+        return {**asdict(self), "is_stabilizer_qecc": self.is_stabilizer_qecc,
+                "display": self.display()}
 
 
 class LinearCode:
@@ -338,10 +343,7 @@ class LinearCode:
         exclude = self.radical() if structural.c else None
         d = dual.min_symplectic_weight(exclude=exclude, cap=cap)
         pure_d = dual.min_symplectic_weight(cap=cap)  # memoized by that pass
-        return CodeParams(
-            q=structural.q, n=structural.n, k=structural.k, d=d,
-            c=structural.c, pure_d=pure_d,
-            is_stabilizer_qecc=structural.is_stabilizer_qecc)
+        return replace(structural, d=d, pure_d=pure_d)
 
     def structural_params(self) -> CodeParams:
         """Parameters that need no weight enumeration; distances stay None.
@@ -354,8 +356,7 @@ class LinearCode:
         c = excess // 2
         k = c + self.n - self.dim
         return CodeParams(q=self.field.q, n=self.n, k=int(k), d=None, c=int(c),
-                          pure_d=None,
-                          is_stabilizer_qecc=c == 0)
+                          pure_d=None)
 
 
 # ----------------------------------------------------------------------

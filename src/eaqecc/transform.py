@@ -3,17 +3,19 @@ entanglement-assisted construction with its machine checks.
 
 Puncturing at position i deletes the paired coordinates (i, n+i) from
 every codeword; shortening first restricts to the codewords vanishing
-there.  Starting from a self-orthogonal code C whose dual has minimum
-symplectic weight d, puncturing any set of l <= d-1 positions yields an
-entanglement-assisted stabilizer code that keeps k while trading the l
-removed pairs for l units of preshared entanglement, and the new dual's
-minimum weight stays at least d.
+there, which on a canonical basis takes one column clear per selected
+column and no elimination.  Starting from a self-orthogonal code C whose
+dual has minimum symplectic weight d, puncturing any set of l <= d-1
+positions yields an entanglement-assisted stabilizer code that keeps k
+while trading the l removed pairs for l units of preshared entanglement,
+and the new dual's minimum weight stays at least d.
 
 `construct_eaqecc` performs that construction and re-verifies each clause
 on the concrete instance, `verify_lemmas` checks the supporting
-single-position facts, `search_positions` sweeps all position sets of a
-given size, and `compare_applicability` contrasts the admissible l-range
-with the stricter criterion based on the dual's classical Hamming weight.
+single-position facts at each position of a set, `search_positions`
+sweeps all position sets of a given size, and `compare_applicability`
+contrasts the admissible l-range with the stricter criterion based on
+the dual's classical Hamming weight.
 
 Position sets are 1-indexed at this interface (position i names the
 column pair (i, n+i)); multi-position operations delete all selected
@@ -144,10 +146,6 @@ def _check_eq(name: str, expected, actual) -> CheckResult:
     return _check(name, expected, actual, expected == actual)
 
 
-def _vacuous(name: str, note: str) -> CheckResult:
-    return CheckResult(name, "hypothesis: min symplectic weight >= 2", note, VACUOUS)
-
-
 # ----------------------------------------------------------------------
 # puncture / shorten
 # ----------------------------------------------------------------------
@@ -163,22 +161,25 @@ def puncture(code: LinearCode, positions) -> LinearCode:
 def shorten(code: LinearCode, positions) -> LinearCode:
     """Restrict to codewords vanishing on the selected pairs, then delete them.
 
-    Implemented by row-reducing with the selected columns ordered first:
-    rows whose pivot lands beyond that block are exactly the codewords
-    that vanish there.
+    A column clear on the canonical basis: the last row nonzero at a
+    selected column (the one with the rightmost pivot) clears it from the
+    other rows and is dropped.  That row is zero at every other pivot
+    column, so the rows stay canonical and no elimination is needed.
     """
     pset = _as_positions(positions)
     pset.validate_for(code.n)
+    f = code.field
     cols = pset.columns(code.n)
-    keep = [j for j in range(2 * code.n) if j not in set(cols)]
-    arr = code.basis.array
-    permuted = GfMatrix(code.field,
-                        np.concatenate([arr[:, cols], arr[:, keep]], axis=1))
-    reduced, pivots = permuted.rref()
-    take = [r for r, p in enumerate(pivots) if p >= len(cols)]
-    short = reduced.array[take][:, len(cols):]
-    return LinearCode(code.field, code.n - len(pset),
-                      GfMatrix(code.field, short))
+    a = code.basis.array
+    for c in cols:
+        nonzero = np.flatnonzero(a[:, c])
+        if nonzero.size:
+            s = nonzero[-1]
+            factors = f.mul_table[f.neg_table[a[:, c]], f.inv_table[a[s, c]]]
+            a = np.delete(f.vadd(a, f.mul_table[factors[:, None], a[s][None, :]]),
+                          s, axis=0)
+    return LinearCode(f, code.n - len(pset),
+                      GfMatrix(f, np.delete(a, cols, axis=1)))
 
 
 # ----------------------------------------------------------------------
@@ -259,20 +260,15 @@ _LEMMA_CHECKS = ("puncture_preserves_dim", "dual_matrix_column_condition",
                  "shortened_dual_is_dual_of_punctured")
 
 
-def _zero_column_exists(mat: GfMatrix) -> bool:
-    return bool((~mat.array.any(axis=0)).any())
-
-
 def _pair_dependent(mat: GfMatrix, col_a: int, col_b: int) -> bool:
     """True iff the two columns are linearly dependent (as a 2-column matrix)."""
-    pair = GfMatrix(mat.field, np.stack([mat.array[:, col_a],
-                                         mat.array[:, col_b]], axis=1))
-    return pair.rank() <= 1
+    return GfMatrix(mat.field, mat.array[:, [col_a, col_b]]).rank() <= 1
 
 
-def verify_lemmas(code: LinearCode, position: int,
+def verify_lemmas(code: LinearCode, positions=None,
                   cap: int = DEFAULT_CAP) -> TheoremReport:
-    """Check the single-position facts behind the construction at `position`.
+    """Check the single-position facts behind the construction at each
+    of `positions` (default: all).
 
     All four main checks are conditional on the code having minimum
     symplectic weight at least 2; when that hypothesis fails they are
@@ -280,65 +276,61 @@ def verify_lemmas(code: LinearCode, position: int,
     the dual's basis matrix has a zero column or the position's column
     pair is linearly dependent, the code must contain a weight-1 word.
 
-    Reports structural parameters only (no distance enumeration for the
-    punctured side), since every check here is dimensional.
+    Several positions name each check `name[i=position]`, in ascending
+    order, and report no output parameters; one position keeps the plain
+    names and reports the punctured code's structural parameters (every
+    check here is dimensional, so nothing is enumerated).
     """
-    pset = PositionSet([position])
+    pset = (PositionSet(range(1, code.n + 1)) if positions is None
+            else _as_positions(positions))
+    if not pset:
+        raise ValueError("verify_lemmas needs at least one position")
     pset.validate_for(code.n)
     w = code.min_symplectic_weight(cap=cap)
     hypothesis = w is not None and w >= 2
     dual = code.dual()
-    mat = dual.basis
-    zero_col = _zero_column_exists(mat)
-    dependent = _pair_dependent(mat, *pset.columns(code.n))
-    column_condition_violated = zero_col or dependent
-    punctured = puncture(code, pset)
+    zero_col = bool((~dual.basis.array.any(axis=0)).any())
+    checks = []
+    for i in pset:
+        dependent = _pair_dependent(dual.basis, i - 1, code.n + i - 1)
+        column_condition_violated = zero_col or dependent
+        punctured = puncture(code, [i])
+        if hypothesis:
+            shortened_dual = shorten(dual, [i])
+            new_dual = punctured.dual()
+            part = [
+                _check_eq("puncture_preserves_dim", code.dim, punctured.dim),
+                _check("dual_matrix_column_condition",
+                       "no zero column; pair columns independent",
+                       f"zero column: {zero_col}; dependent pair: {dependent}",
+                       not column_condition_violated),
+                _check_eq("shorten_dual_drops_dim_by_two",
+                          dual.dim - 2, shortened_dual.dim),
+                _check("shortened_dual_is_dual_of_punctured",
+                       "shortened dual == dual of punctured",
+                       "equal" if shortened_dual == new_dual else "different",
+                       shortened_dual == new_dual),
+            ]
+        else:
+            part = [CheckResult(name, "hypothesis: min symplectic weight >= 2",
+                                f"hypothesis not met (min weight {w})", VACUOUS)
+                    for name in _LEMMA_CHECKS]
+        if column_condition_violated:
+            part.append(_check("column_condition_implies_weight_one",
+                               "min weight 1", w, w == 1))
+        else:
+            part.append(CheckResult("column_condition_implies_weight_one",
+                                    "hypothesis: zero column or dependent pair",
+                                    "column condition holds", VACUOUS))
+        if len(pset) > 1:
+            part = [replace(check, name=f"{check.name}[i={i}]") for check in part]
+        checks += part
 
-    if hypothesis:
-        shortened_dual = shorten(dual, pset)
-        new_dual = punctured.dual()
-        checks = [
-            _check_eq("puncture_preserves_dim", code.dim, punctured.dim),
-            _check("dual_matrix_column_condition",
-                   "no zero column; pair columns independent",
-                   f"zero column: {zero_col}; dependent pair: {dependent}",
-                   not column_condition_violated),
-            _check_eq("shorten_dual_drops_dim_by_two",
-                      dual.dim - 2, shortened_dual.dim),
-            _check("shortened_dual_is_dual_of_punctured",
-                   "shortened dual == dual of punctured",
-                   "equal" if shortened_dual == new_dual else "different",
-                   shortened_dual == new_dual),
-        ]
-    else:
-        note = f"hypothesis not met (min weight {w})"
-        checks = [_vacuous(name, note) for name in _LEMMA_CHECKS]
-
-    if column_condition_violated:
-        checks.append(_check("column_condition_implies_weight_one",
-                             "min weight 1", w, w == 1))
-    else:
-        checks.append(CheckResult("column_condition_implies_weight_one",
-                                  "hypothesis: zero column or dependent pair",
-                                  "column condition holds", VACUOUS))
-
+    # With one position, `punctured` is the code punctured there.
+    output_params = punctured.structural_params() if len(pset) == 1 else None
     return TheoremReport(positions=pset,
                          input_params=code.structural_params(),
-                         output_params=punctured.structural_params(),
-                         checks=checks)
-
-
-def merge_lemma_reports(reports: list[TheoremReport],
-                        positions: list[int]) -> TheoremReport:
-    """One report for `verify_lemmas` at several positions, each check
-    renamed `name[i=position]`."""
-    if len(reports) == 1:
-        return reports[0]
-    checks = [replace(check, name=f"{check.name}[i={i}]")
-              for rep, i in zip(reports, positions) for check in rep.checks]
-    return TheoremReport(positions=PositionSet(positions),
-                         input_params=reports[0].input_params,
-                         output_params=None, checks=checks)
+                         output_params=output_params, checks=checks)
 
 
 # ----------------------------------------------------------------------

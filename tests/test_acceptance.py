@@ -98,7 +98,7 @@ def test_criterion_3_randomized_lemma_suite():
         assert len(suite) >= 200
         for code in suite:
             for i in range(1, code.n + 1):
-                report = verify_lemmas(code, i)
+                report = verify_lemmas(code, [i])
                 assert report.overall
                 main_checks = report.checks[:4]
                 assert all(c.status not in (FAIL, VACUOUS)

@@ -16,7 +16,7 @@ from eaqecc import (FAIL, PASS, VACUOUS, CapExceededError, CheckResult,
                     construct_eaqecc, random_self_orthogonal, verify_lemmas)
 from eaqecc.cli import (bundled_code_path, code_to_dict, emit_report, main,
                         parse_code_file, serialize_code)
-from eaqecc.transform import merge_lemma_reports
+from eaqecc import transform
 
 from conftest import vec
 from oracles import random_code
@@ -130,7 +130,7 @@ def test_emit_report_text(five_qubit):
 
 def test_emit_report_vacuous(gf2):
     code = LinearCode(gf2, 3, [vec("100|000")])
-    text = emit_report(verify_lemmas(code, 1), "text")
+    text = emit_report(verify_lemmas(code, [1]), "text")
     assert "VACUOUS" in text
 
 
@@ -148,7 +148,7 @@ def _assert_params_json(data, params):
 
 def test_report_json_content(five_qubit):
     _, report = construct_eaqecc(five_qubit, [3])
-    lemma_report = verify_lemmas(five_qubit, 2)
+    lemma_report = verify_lemmas(five_qubit, [2])
     for rep, positions in ((report, [3]), (lemma_report, [2])):
         data = json.loads(emit_report(rep, "json"))
         assert list(data) == ["positions", "input_params", "output_params",
@@ -185,11 +185,38 @@ def test_vacuous_checks_alone_pass():
     assert _report(VACUOUS, VACUOUS).overall is True
 
 
-def test_merged_report_fails_when_one_part_fails():
-    merged = merge_lemma_reports([_report(PASS), _report(PASS, FAIL)], [1, 2])
-    assert merged.overall is False
-    assert [c.name for c in merged.checks] == [
-        "check0[i=1]", "check0[i=2]", "check1[i=2]"]
+LEMMA_NAMES = ["puncture_preserves_dim", "dual_matrix_column_condition",
+               "shorten_dual_drops_dim_by_two",
+               "shortened_dual_is_dual_of_punctured",
+               "column_condition_implies_weight_one"]
+
+
+def test_lemma_report_fails_at_one_of_several_positions(five_qubit, monkeypatch,
+                                                        capsys):
+    real_shorten = transform.shorten
+
+    def zero_code_at_two(code, positions):
+        shortened = real_shorten(code, positions)
+        if list(positions) == [2]:
+            return LinearCode(shortened.field, shortened.n)
+        return shortened
+
+    monkeypatch.setattr(transform, "shorten", zero_code_at_two)
+    report = verify_lemmas(five_qubit, [3, 2, 1])
+    assert [c.name for c in report.checks] == [
+        f"{name}[i={i}]" for i in (1, 2, 3) for name in LEMMA_NAMES]
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["shorten_dual_drops_dim_by_two[i=2]"] == FAIL
+    assert statuses["shorten_dual_drops_dim_by_two[i=1]"] == PASS
+    assert statuses["shorten_dual_drops_dim_by_two[i=3]"] == PASS
+    assert report.output_params is None
+    assert report.overall is False
+    assert main(["verify-lemmas", str(SAMPLE), "--positions", "1,2,3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL shorten_dual_drops_dim_by_two[i=2]" in out
+    assert out.endswith("verdict: FAIL\n")
+    with pytest.raises(ValueError):
+        verify_lemmas(five_qubit, [])
 
 
 def test_cli_construct_failing_report_exits_1(capsys, monkeypatch):

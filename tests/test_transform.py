@@ -1,22 +1,23 @@
 """Puncture/shorten behavior, the construction, lemma checks, and search."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from eaqecc import transform
-from eaqecc import (FAIL, GF, LinearCode, PASS, PositionSet, VACUOUS,
+from eaqecc import (FAIL, GF, GfMatrix, LinearCode, PASS, PositionSet, VACUOUS,
                     compare_applicability, construct_eaqecc, puncture,
                     random_self_orthogonal, search_positions, shorten,
                     symplectic_weight, verify_lemmas)
 
 from conftest import (FIVE_QUBIT_DUAL_ROWS, FIVE_QUBIT_PUNCTURED_ROWS,
                       FIVE_QUBIT_SHORTENED_DUAL_ROWS, vec)
-from oracles import min_hamming_weight_bruteforce
+from oracles import _codewords, min_hamming_weight_bruteforce
 
-FIELDS = {q: GF(q) for q in (2, 3, 4, 5)}
+FIELDS = {q: GF(q) for q in (2, 3, 4, 5, 7, 8, 9)}
 
 
 def codewords(code):
@@ -127,20 +128,25 @@ def test_shorten_full_space(gf3):
 
 
 def test_shorten_keeps_only_vanishing_words():
+    # Extension fields and odd p exercise the inverse and negation factors
+    # of the column clear; sparse rows leave some selected columns zero.
     rng = random.Random(37)
-    for _ in range(25):
-        f = FIELDS[rng.choice((2, 3))]
-        n = rng.randrange(2, 5)
-        rows = [[rng.randrange(f.q) for _ in range(2 * n)]
-                for _ in range(rng.randrange(1, n + 2))]
+    for _ in range(120):
+        f = FIELDS[rng.choice(sorted(FIELDS))]
+        n = rng.randrange(1, 5)
+        max_rows = min(2 * n, int(math.log(4096, f.q)))
+        rows = [[rng.randrange(f.q) if rng.random() < 0.7 else 0
+                 for _ in range(2 * n)]
+                for _ in range(rng.randrange(1, max_rows + 1))]
         code = LinearCode(f, n, rows)
-        i = rng.randrange(1, n + 1)
-        shortened = shorten(code, [i])
-        survivors = {tuple(w) for w in codewords(code)
-                     if w[i - 1] == 0 and w[n + i - 1] == 0}
-        dropped = {tuple(w[:i - 1] + w[i:n + i - 1] + w[n + i:])
-                   for w in survivors}
-        assert {tuple(w) for w in codewords(shortened)} == dropped
+        positions = rng.sample(range(1, n + 1), rng.randrange(0, n + 1))
+        cols = PositionSet(positions).columns(n)
+        keep = [j for j in range(2 * n) if j not in cols]
+        shortened = shorten(code, positions)
+        vanishing = {tuple(w[j] for j in keep) for w in _codewords(code)
+                     if not any(w[j] for j in cols)}
+        assert set(_codewords(shortened)) == vanishing
+        assert GfMatrix(f, shortened.basis.array).canonical() == shortened.basis
 
 
 def test_shorten_preserves_preimage_weights(five_qubit, gf2):
@@ -268,7 +274,7 @@ def test_construct_parameter_preservation_random():
 # verify_lemmas
 # ---------------------------------------------------------------------
 def test_verify_lemmas_five_qubit(five_qubit):
-    report = verify_lemmas(five_qubit, 3)
+    report = verify_lemmas(five_qubit, [3])
     assert report.overall
     by_name = {c.name: c for c in report.checks}
     for name in ("puncture_preserves_dim", "dual_matrix_column_condition",
@@ -283,7 +289,7 @@ def test_verify_lemmas_weight_one_code(gf2):
     # converse direction fires because the column condition does hold.
     code = LinearCode(gf2, 3, [vec("100|000")])
     assert code.min_symplectic_weight() == 1
-    report = verify_lemmas(code, 1)
+    report = verify_lemmas(code, [1])
     by_name = {c.name: c for c in report.checks}
     for name in ("puncture_preserves_dim", "dual_matrix_column_condition",
                  "shorten_dual_drops_dim_by_two",
@@ -298,7 +304,7 @@ def test_verify_lemmas_weight_one_code(gf2):
 def test_verify_lemmas_random_sweep():
     for code in random_self_orthogonal_pool(25, seed=53, min_weight=2):
         for i in range(1, code.n + 1):
-            report = verify_lemmas(code, i)
+            report = verify_lemmas(code, [i])
             assert report.overall
             assert all(c.status == PASS for c in report.checks[:4])
 
