@@ -3,8 +3,8 @@
 Code files look like:
 
     # optional comment
-    q 2             field order (prime power, <= 256)
-    poly 1 1 1      optional: little-endian irreducible coefficients
+    q 2             field order (prime power p^m, <= 256)
+    poly 1 1 1      optional, m > 1 only: irreducible coefficients, little-endian
     n 5             symplectic block length
     1 0 0 1 0 | 0 1 1 0 0     one basis row per line, a-half | b-half
 
@@ -84,14 +84,15 @@ def _make_field(q: int, poly: list[int] | None, q_line: int,
         p, m = prime_power_decomposition(q)
     except ValueError as exc:
         raise CodeFileError(str(exc), q_line) from exc
+    if m == 1 and poly is not None:
+        raise CodeFileError(f"prime field GF({q}) takes no 'poly' line", poly_line)
     if m > 1 and poly is None and q not in DEFAULT_IRREDUCIBLE:
         raise CodeFileError(
             f"GF({q}) needs an explicit 'poly' line before 'n'", q_line)
-    try:
+    try:  # only a 'poly' line can make GF refuse a prime power q <= MAX_Q
         return GF(q, poly)
     except ValueError as exc:
-        raise CodeFileError(str(exc),
-                            poly_line if poly is not None else q_line) from exc
+        raise CodeFileError(str(exc), poly_line) from exc
 
 
 def parse_code_file(text: str) -> LinearCode:

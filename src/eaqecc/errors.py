@@ -7,13 +7,17 @@ class CapExceededError(RuntimeError):
     """An enumeration would visit more codewords than the configured cap.
 
     Raised before any work is done, so callers can retry with a larger cap.
+    `required` is None for a count too large to build, at least 2^log2.
     """
 
-    def __init__(self, required: int, cap: int) -> None:
-        bits = required.bit_length()  # str() refuses > 4300 digits by default
-        shown = required if bits <= 1024 else f"at least 2^{bits - 1}"
+    def __init__(self, required: int | None, cap: int,
+                 log2: int | None = None) -> None:
+        # str() refuses > 4300 digits by default: past 2^1024 show a bound.
+        log2 = required.bit_length() - 1 if log2 is None else log2
+        shown = required if log2 < 1024 else f"at least 2^{log2}"
+        limit = cap if cap.bit_length() <= 1024 else f"at least 2^{cap.bit_length() - 1}"
         super().__init__(
-            f"enumeration needs {shown} codewords but the cap is {cap}; "
+            f"enumeration needs {shown} codewords but the cap is {limit}; "
             "raise the cap to proceed"
         )
         self.required = required

@@ -148,9 +148,6 @@ class LinearCode:
     def dim(self) -> int:
         return self.basis.rows
 
-    def codeword_count(self) -> int:
-        return self.field.q ** self.dim
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
@@ -187,13 +184,6 @@ class LinearCode:
             self._radical = LinearCode(self.field, self.n,
                                        gram.nullspace() @ self.basis)
         return self._radical
-
-    def require_dual_within_cap(self, cap: int) -> None:
-        """Raise the CapExceededError that enumerating the dual would
-        raise, before the dual's (2n - dim) x 2n basis is built."""
-        required = self.field.q ** (2 * self.n - self.dim)
-        if required > cap:
-            raise CapExceededError(required, cap)
 
     def is_self_orthogonal(self) -> bool:
         """True iff all pairs of basis rows have symplectic product zero."""
@@ -292,9 +282,7 @@ class LinearCode:
         pass memoizes the minimum over the nonzero codewords per kind."""
         if exclude is None and symplectic in self._minima:
             return self._minima[symplectic]
-        required = self.codeword_count()
-        if required > cap:
-            raise CapExceededError(required, cap)
+        _refuse_past_cap(self.field.q, self.dim, cap)
         rows, m = self._coset_basis(exclude)
         nonzero: int | None = None
         outside: int | None = None
@@ -338,7 +326,7 @@ class LinearCode:
         raise CapExceededError, before building a dual past the cap.
         """
         structural = self.structural_params()
-        self.require_dual_within_cap(cap)
+        _refuse_past_cap(self.field.q, 2 * self.n - self.dim, cap)
         dual = self.dual()
         exclude = self.radical() if structural.c else None
         d = dual.min_symplectic_weight(exclude=exclude, cap=cap)
@@ -357,6 +345,18 @@ class LinearCode:
         k = c + self.n - self.dim
         return CodeParams(q=self.field.q, n=self.n, k=int(k), d=None, c=int(c),
                           pure_d=None)
+
+
+def _refuse_past_cap(q: int, e: int, cap: int) -> None:
+    """Raise CapExceededError if q^e codewords exceed the cap.  q^e is built
+    only below about 2^16 bits, or when 2^k <= q^e for k = e floor(log2 q)
+    cannot decide, and then it has at most twice the cap's bits."""
+    k = e * (q.bit_length() - 1)
+    if e * math.log2(q) <= 1 << 16 or k < cap.bit_length():
+        if (required := q ** e) > cap:
+            raise CapExceededError(required, cap)
+    else:
+        raise CapExceededError(None, cap, log2=k)
 
 
 # ----------------------------------------------------------------------

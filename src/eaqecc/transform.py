@@ -185,23 +185,17 @@ def shorten(code: LinearCode, positions) -> LinearCode:
 # ----------------------------------------------------------------------
 # the construction
 # ----------------------------------------------------------------------
-def _dual_distance(code: LinearCode, cap: int) -> int | None:
-    """The dual's minimum symplectic weight, for a self-orthogonal code;
-    raises ValueError otherwise, and refuses a dual past the cap before
-    building it."""
+def _self_orthogonal_params(code: LinearCode, cap: int) -> CodeParams:
+    """The parameters of a self-orthogonal code, whose d is its dual's
+    minimum weight; any other code is refused before the cap is checked."""
     if not code.is_self_orthogonal():
         raise ValueError("input code is not self-orthogonal under the symplectic form")
-    code.require_dual_within_cap(cap)
-    return code.dual().min_symplectic_weight(cap=cap)
+    return code.params(cap=cap)
 
 
-def _admissible_distance(code: LinearCode, ell: int, cap: int) -> int:
-    """The dual's minimum symplectic weight d, once the code is known to be
-    self-orthogonal and 1 <= ell <= d-1; raises ValueError otherwise."""
-    d = _dual_distance(code, cap)
+def _require_admissible(ell: int, d: int | None) -> None:
     if d is None or not 1 <= ell <= d - 1:
         raise ValueError(f"l must satisfy 1 <= l <= d-1 (l={ell}, d={d})")
-    return d
 
 
 def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
@@ -219,13 +213,13 @@ def construct_eaqecc(code: LinearCode, positions, cap: int = DEFAULT_CAP
     pset = _as_positions(positions)
     pset.validate_for(code.n)
     ell = pset.ell
-    d = _admissible_distance(code, ell, cap)
-    dual = code.dual()
-    input_params = code.params(cap=cap)
+    input_params = _self_orthogonal_params(code, cap)
+    d = input_params.d
+    _require_admissible(ell, d)
 
     punctured = puncture(code, pset)
     new_dual = punctured.dual()
-    shortened_dual = shorten(dual, pset)
+    shortened_dual = shorten(code.dual(), pset)
     shortened_code = shorten(code, pset)
     meet = punctured.radical()
     output_params = punctured.params(cap=cap)
@@ -347,7 +341,7 @@ def compare_applicability(code: LinearCode,
     exceeds its Hamming weight (a nonzero pair costs at most two nonzero
     entries), the first bound always dominates the second.
     """
-    d = _dual_distance(code, cap)
+    d = _self_orthogonal_params(code, cap).d
     w_h = code.dual().min_hamming_weight(cap=cap)
     if d is None or w_h is None:
         raise ValueError("dual code is trivial; applicability is undefined")
@@ -367,7 +361,7 @@ def search_positions(code: LinearCode, ell: int, cap: int = DEFAULT_CAP,
     parameters) pairs sorted by descending dual minimum weight, ties
     broken by ascending positions.
     """
-    _admissible_distance(code, ell, cap)
+    _require_admissible(ell, _self_orthogonal_params(code, cap).d)
     combos = itertools.combinations(range(1, code.n + 1), ell)
     if limit is not None:
         combos = itertools.islice(combos, limit)

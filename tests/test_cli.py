@@ -1,14 +1,17 @@
 """Code file parsing, serialization, report rendering, and the CLI driver."""
 
+import io
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import eaqecc
 from eaqecc import (FAIL, PASS, VACUOUS, CapExceededError, CheckResult,
@@ -72,9 +75,12 @@ def test_parse_non_prime_power_order():
     assert err.value.line == 1
 
 
-def test_parse_bad_polynomial():
+@pytest.mark.parametrize("text", ["q 4\npoly 1 0 1\nn 2\n",
+                                  "q 2\npoly 7 7 7 7\nn 1\n1 | 0\n"],
+                         ids=["reducible", "prime-field"])
+def test_parse_bad_polynomial(text):
     with pytest.raises(CodeFileError) as err:
-        parse_code_file("q 4\npoly 1 0 1\nn 2\n")
+        parse_code_file(text)
     assert err.value.line == 2
 
 
@@ -379,19 +385,44 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _unit_rows(n: int) -> str:
+    """Rows e_1 = (1 0..0 | 0..0) and f_1 = (0..0 | 1 0..0): product 1."""
+    unit = " ".join(["1"] + ["0"] * (n - 1))
+    zeros = " ".join(["0"] * n)
+    return f"{unit} | {zeros}\n{zeros} | {unit}\n"
+
+
+# (code file, cap error, precondition error or None).  The zero code with
+# n = 20000 has a dual of 2^40000 words, whose 40000 x 40000 basis alone
+# would take 3 GiB; with q = 3, n = 10^9 the dual has 3^(2 10^9) words, a
+# count the cap refuses without building it.  e_1, f_1 are not
+# self-orthogonal: every command but params refuses them before any cap.
+REFUSED_DUALS = [
+    ("q 2\nn 20000\n", "at least 2^40000 codewords", None),
+    ("q 3\nn 1000000000\n", "at least 2^2000000000 codewords", None),
+    ("q 2\nn 20000\n" + _unit_rows(20000), "at least 2^39998 codewords",
+     "not self-orthogonal"),
+]
+
+
 @pytest.mark.parametrize("args", [["params"], ["compare-remark"],
                                   ["construct", "--positions", "1"],
                                   ["search", "--ell", "1"]])
 def test_cli_dual_refused_by_cap_before_it_is_built(tmp_path, args):
-    # The dual of the zero code with n = 20000 has 2^40000 words; its
-    # 40000 x 40000 basis alone would take 3 GiB.
-    zero = tmp_path / "zero.txt"
-    zero.write_text("q 2\nn 20000\n")
-    proc = _run_cli([args[0], str(zero), *args[1:]],
-                    preexec_fn=_limit_address_space)
-    assert proc.returncode == 3, proc.stderr
-    assert "at least 2^40000 codewords" in proc.stderr
-    assert "raise the cap" in proc.stderr
+    path = tmp_path / "code.txt"
+    for text, cap_error, precondition in REFUSED_DUALS:
+        path.write_text(text)
+        proc = _run_cli([args[0], str(path), *args[1:]],
+                        preexec_fn=_limit_address_space)
+        if precondition is None or args[0] == "params":
+            assert proc.returncode == 3, proc.stderr
+            assert cap_error in proc.stderr
+            assert "raise the cap" in proc.stderr
+        else:
+            assert proc.returncode == 2, proc.stderr
+            assert precondition in proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("args", [["dual"], ["verify-lemmas", "--positions", "1"]])
@@ -433,3 +464,90 @@ def test_code_to_dict_round_trip_fields(gf4):
     data = code_to_dict(code)
     assert data["poly"] == [1, 1, 1]
     assert data["n"] == 2
+
+
+# ---------------------------------------------------------------------
+# the exit-code contract over generated input
+# ---------------------------------------------------------------------
+VALID_POLY = {4: (1, 1, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1)}
+
+
+@st.composite
+def code_files(draw):
+    """Code-file text from a small grammar: a q line, an optional poly
+    line, an n line and rows that mix entries, bars and comments.  Half of
+    the files are well formed, the others have one flaw in a chosen part;
+    two thirds of the well-formed rows come from a self-orthogonal code.
+    n <= 4 keeps every table and block to a few KB."""
+    flaw = draw(st.sampled_from([None, None, None, None, "q", "poly", "n", "row"]))
+    q = draw(st.sampled_from([1, 6, 257] if flaw == "q" else [2, 3, 4, 9, 16]))
+    lines = [f"q {q}"]
+    if flaw == "poly":
+        lines.append("poly " + draw(st.sampled_from(["1 1 1", "1 0 1",
+                                                     "7 7 7 7", "x"])))
+    elif q in VALID_POLY and (q == 16 or draw(st.booleans())):
+        lines.append("poly " + " ".join(map(str, VALID_POLY[q])))
+    n = 0 if flaw == "n" else draw(st.integers(1, 4))
+    lines.append(f"n {n}")
+    entry = st.integers(0, max(q, 2) - 1).map(str)
+    if flaw not in ("q", "n") and draw(st.integers(0, 2)):
+        # Self-orthogonal codes of dimension n often have d = 2: l = 1 works.
+        code = random_self_orthogonal(GF(q, VALID_POLY.get(q)), n,
+                                      draw(st.sampled_from([n, n, n - 1])),
+                                      seed=draw(st.integers(0, 9)))
+        rows = [[str(v) for v in row] for row in code.basis.array.tolist()]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=2 * n, max_size=2 * n),
+                             max_size=4))
+    if flaw == "row":
+        stray = st.one_of(entry, st.sampled_from([str(q), "-1", "x", "|"]))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.lists(stray, max_size=10)))
+    for row in rows:
+        half = (len(row) + 1) // 2
+        text = " ".join(row[:half] + ["|"] + row[half:])
+        lines.append(text + draw(st.sampled_from(["", "  # note", "\n"])))
+    return "\n".join(lines) + "\n"
+
+
+# The [[4,2,2]]_2 code: self-orthogonal, its dual has d = 2, so l = 1.
+FOUR_TWO_TWO = "q 2\nn 4\n1 1 1 1 | 0 0 0 0\n0 0 0 0 | 1 1 1 1\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(text=code_files(), cap=st.sampled_from([1024, 256, 16, 1]),
+       fmt=st.sampled_from(["text", "json"]),
+       positions=st.sampled_from(["1", "2", "1,2", "3", "0", "5", "2,2", ",",
+                                  "a"]),
+       all_positions=st.booleans(), ell=st.integers(-1, 3),
+       limit=st.sampled_from([None, 0, 1, 3, -1]))
+@example(text=FOUR_TWO_TWO, cap=1024, fmt="text", positions="1",
+         all_positions=False, ell=1, limit=None)
+def test_cli_exit_code_contract_property(tmp_path_factory, text, cap, fmt,
+                                         positions, all_positions, ell, limit):
+    """Every subcommand returns 0, 1, 2 or 3 and raises nothing; on 2 and
+    3 stdout stays empty and stderr holds one `error: ` line, on 0 and 1
+    stderr stays empty."""
+    path = tmp_path_factory.getbasetemp() / "contract.txt"
+    path.write_text(text)
+    selected = [f"--positions={positions}"]
+    options = {
+        "params": [], "dual": [], "compare-remark": [],
+        "puncture": selected, "shorten": selected, "construct": selected,
+        "verify-lemmas": [] if all_positions else selected,
+        "search": [f"--ell={ell}"] + ([] if limit is None
+                                      else [f"--limit={limit}"]),
+    }
+    for command, extra in options.items():
+        argv = [command, str(path), f"--cap={cap}", f"--format={fmt}", *extra]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2, 3), argv
+        if status >= 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: "), argv
+            assert err.getvalue().count("\n") == 1, argv
+            assert err.getvalue().endswith("\n"), argv
+        else:
+            assert err.getvalue() == "", argv

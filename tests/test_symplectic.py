@@ -140,6 +140,25 @@ def test_min_weight_cap(five_qubit):
     assert five_qubit.dual().min_symplectic_weight(cap=64) == 3
 
 
+def test_cap_refusal_never_builds_a_huge_count():
+    refuse = symplectic._refuse_past_cap
+    refuse(2, 22, 1 << 22)
+    with pytest.raises(CapExceededError) as err:
+        refuse(2, 23, 1 << 22)
+    assert err.value.required == 1 << 23
+    # 3^(10^12) has 1.6 10^12 bits: only its lower bound 2^(10^12) shows.
+    with pytest.raises(CapExceededError) as err:
+        refuse(3, 10 ** 12, 1 << 22)
+    assert err.value.required is None
+    assert "at least 2^1000000000000 codewords" in str(err.value)
+    # Past 2^16 bits, a cap the bound cannot beat still gets exact counts.
+    cap = 3 ** 50000
+    refuse(3, 50000, cap)
+    with pytest.raises(CapExceededError) as err:
+        refuse(3, 50001, cap)
+    assert err.value.required == 3 * cap
+
+
 def test_min_weight_exclude_subcode(five_qubit, gf2):
     dual = five_qubit.dual()
     assert dual.min_symplectic_weight(exclude=five_qubit) == 3
