@@ -8,11 +8,12 @@ Code files look like:
     n 5             symplectic block length
     1 0 0 1 0 | 0 1 1 0 0     one basis row per line, a-half | b-half
 
-'#' starts a comment, blank lines are ignored, entries are integer
-element codes below q, and every row carries exactly n entries on each
-side of the bar.  Parsing is strict; diagnostics carry 1-based line and
-column numbers.  Serialization always emits the canonical RREF basis, so
-identical code spaces produce byte-identical files.
+'#' starts a comment, blank lines are ignored, integers are ASCII digits
+with an optional '-', entries are element codes below q, and every row
+carries exactly n entries on each side of the bar.  Parsing is strict;
+diagnostics carry 1-based line and column numbers.  Serialization always
+emits the canonical RREF basis, so identical code spaces produce
+byte-identical files.
 
 Subcommands: params, dual, puncture, shorten, construct, verify-lemmas,
 search, compare-remark.  Reports go to stdout, diagnostics to stderr.
@@ -33,8 +34,8 @@ from .errors import CapExceededError, CodeFileError
 from .field import GF, DEFAULT_IRREDUCIBLE, MAX_Q, prime_power_decomposition
 from .symplectic import DEFAULT_CAP, LinearCode
 from .transform import (PositionSet, TheoremReport, compare_applicability,
-                        construct_eaqecc, puncture, search_positions, shorten,
-                        verify_lemmas)
+                        construct_eaqecc, parse_int, puncture, search_positions,
+                        shorten, verify_lemmas)
 
 
 # ----------------------------------------------------------------------
@@ -48,10 +49,18 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 def _parse_int(tok: str, lineno: int, col: int, what: str) -> int:
     try:
-        return int(tok)
+        return parse_int(tok)
     except ValueError:
         raise CodeFileError(f"{what} must be an integer, got {tok!r}",
                             lineno, col) from None
+
+
+def _int_option(text: str) -> int:
+    """argparse type of --cap, --ell and --limit, refused as `int` would be."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_row(toks: list[tuple[str, int]], n: int, q: int,
@@ -98,7 +107,7 @@ def _make_field(q: int, poly: list[int] | None, q_line: int,
 def parse_code_file(text: str) -> LinearCode:
     """Parse the strict code file format into a canonicalized LinearCode."""
     q = n = None
-    q_line = poly_line = None
+    q_line = poly_line = n_line = None
     poly: list[int] | None = None
     field: GF | None = None
     rows: list[list[int]] = []
@@ -128,6 +137,7 @@ def parse_code_file(text: str) -> LinearCode:
             n = _parse_int(toks[1][0], lineno, toks[1][1], "block length")
             if n < 1:
                 raise CodeFileError("n must be at least 1", lineno, toks[1][1])
+            n_line = lineno
             field = _make_field(q, poly, q_line, poly_line)
         else:
             rows.append(_parse_row(toks, n, field.q, lineno))
@@ -135,7 +145,10 @@ def parse_code_file(text: str) -> LinearCode:
         raise CodeFileError("empty file: expected 'q <order>'")
     if n is None:
         raise CodeFileError("missing 'n <length>' line")
-    return LinearCode(field, n, rows or None)
+    try:
+        return LinearCode(field, n, rows or None)
+    except ValueError as exc:  # numpy has no axis of 2n past 2^62 or so
+        raise CodeFileError(f"n = {n} is too large: {exc}", n_line) from exc
 
 
 def serialize_code(code: LinearCode) -> str:
@@ -211,17 +224,17 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, help_text, positions=False, ell=False, limit=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="code file to load")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=_int_option, default=DEFAULT_CAP,
                        help="codeword enumeration cap (default 2^22)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if positions:
             p.add_argument("--positions", required=(name != "verify-lemmas"),
                            help="comma-separated 1-indexed positions, e.g. 1,3")
         if ell:
-            p.add_argument("--ell", type=int, required=True,
+            p.add_argument("--ell", type=_int_option, required=True,
                            help="number of positions to puncture")
         if limit:
-            p.add_argument("--limit", type=int, default=None,
+            p.add_argument("--limit", type=_int_option, default=None,
                            help="evaluate only the first N position sets")
         return p
 

@@ -154,15 +154,6 @@ class GF:
                       self.inv_table, self._digits, self._ppow):
             table.setflags(write=False)
 
-    def _pow_by_table(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = int(self.mul_table[result, base])
-            base = int(self.mul_table[base, base])
-            e >>= 1
-        return result
-
     # ------------------------------------------------------------------
     # scalar operations on element codes
     # ------------------------------------------------------------------
@@ -197,11 +188,15 @@ class GF:
         return int(self.inv_table[code])
 
     def pow(self, a: int, e: int) -> int:
-        code = self._check(a)
+        base, result = self._check(a), 1
         if e < 0:
-            code = self.inv(code)
-            e = -e
-        return self._pow_by_table(code, e)
+            base, e = self.inv(base), -e
+        while e:
+            if e & 1:
+                result = int(self.mul_table[result, base])
+            base = int(self.mul_table[base, base])
+            e >>= 1
+        return result
 
     def elements(self) -> range:
         """All q element codes in order 0..q-1."""
@@ -214,9 +209,6 @@ class GF:
         """Elementwise sum; for p = 2 also of words packed from GF(2) digits."""
         return x ^ y if self.p == 2 else self.add_table[x, y]
 
-    def vmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.mul_table[x, y]
-
     def vsum(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Field sum along a nonnegative axis: XOR for p = 2, else digit sums."""
         assert axis >= 0
@@ -225,13 +217,6 @@ class GF:
         d = self._digits[np.asarray(values, dtype=np.int64)]
         s = d.sum(axis=axis, dtype=np.int64) % self.p
         return (s @ self._ppow).astype(_DTYPE)
-
-    def vdot(self, x: np.ndarray, y: np.ndarray) -> int:
-        """Euclidean inner product of two 1-D code arrays."""
-        prods = self.vmul(np.asarray(x, dtype=_DTYPE), np.asarray(y, dtype=_DTYPE))
-        if prods.size == 0:
-            return 0
-        return int(self.vsum(prods, axis=0))
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -45,10 +45,6 @@ class GfMatrix:
     def zeros(cls, field: GF, rows: int, cols: int) -> "GfMatrix":
         return cls(field, np.zeros((rows, cols), dtype=_DTYPE))
 
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "GfMatrix":
-        return cls(field, np.eye(n, dtype=_DTYPE))
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]
@@ -56,9 +52,6 @@ class GfMatrix:
     @property
     def cols(self) -> int:
         return self.array.shape[1]
-
-    def is_zero(self) -> bool:
-        return not self.array.any()
 
     def transpose(self) -> "GfMatrix":
         return GfMatrix(self.field, self.array.T.copy())
@@ -83,7 +76,7 @@ class GfMatrix:
         for c in range(n_cols):
             if r == n_rows:
                 break
-            nz = np.flatnonzero(a[r:, c])
+            nz = a[r:, c].nonzero()[0]
             if nz.size == 0:
                 continue
             p = r + int(nz[0])
@@ -92,17 +85,13 @@ class GfMatrix:
             pivot = int(a[r, c])
             if pivot != 1:
                 a[r] = f.mul_table[int(f.inv_table[pivot])][a[r]]
-            factors = f.neg_table[a[:, c]]
-            factors[r] = 0
-            if factors.any():
-                a = f.vadd(a, f.mul_table[factors[:, None], a[r][None, :]])
+            coef = f.neg_table[a[:, c]]
+            coef[r] = 0
+            a = _add_multiples(f, a, coef, a[r])
             pivots.append(c)
             r += 1
-        reduced = GfMatrix(f, a[:r])
-        result = (reduced, tuple(pivots))
-        reduced._rref = result  # rref is idempotent
-        self._rref = result
-        return result
+        self._rref = _mark_rref(GfMatrix(f, a[:r]), pivots)._rref
+        return self._rref
 
     def canonical(self) -> "GfMatrix":
         return self.rref()[0]
@@ -127,9 +116,29 @@ class GfMatrix:
         basis = np.zeros((len(free), n_cols), dtype=_DTYPE)
         basis[np.arange(len(free)), free] = 1
         basis[:, pivots] = f.neg_table[reduced.array[:, ::-1][:, free]].T
-        kernel = GfMatrix(f, basis)
-        kernel._rref = (kernel, tuple(free.tolist()))
-        return kernel
+        return _mark_rref(GfMatrix(f, basis), free.tolist())
+
+    def vanishing_at(self, cols: Sequence[int]) -> "GfMatrix":
+        """Canonical basis of the row-space vectors that are zero at `cols`,
+        with those columns deleted.
+
+        No elimination: of the rows nonzero at a column c, the last has the
+        rightmost pivot; it clears c from the others and is dropped.  It is
+        zero at every other pivot column, so the rows keep their pivots and
+        stay canonical.  A cached canonical basis costs no `rref` call.
+        """
+        reduced, pivots = self._rref or self.rref()
+        f, a, pivots = self.field, reduced.array, list(pivots)
+        for c in cols:
+            nonzero = a[:, c].nonzero()[0]
+            if nonzero.size:
+                s = nonzero[-1]
+                coef = f.mul_table[f.neg_table[a[:, c]], f.inv_table[a[s, c]]]
+                coef[s] = 0
+                a = np.delete(_add_multiples(f, a, coef, a[s]), s, axis=0)
+                del pivots[s]
+        kept = np.delete(np.arange(self.cols), cols)
+        return _mark_rref(GfMatrix(f, a[:, kept]), np.searchsorted(kept, pivots))
 
     def __matmul__(self, other: "GfMatrix") -> "GfMatrix":
         if not isinstance(other, GfMatrix):
@@ -155,9 +164,7 @@ class GfMatrix:
             raise ValueError(f"vectors must have {self.cols} columns")
         reduced, pivots = self.rref()
         for k, pc in enumerate(pivots):
-            coef = f.neg_table[x[:, pc]]
-            if coef.any():
-                x = f.vadd(x, f.mul_table[coef[:, None], reduced.array[k][None, :]])
+            x = _add_multiples(f, x, f.neg_table[x[:, pc]], reduced.array[k])
         return x
 
     def row_space_contains(self, vectors) -> np.ndarray:
@@ -177,15 +184,23 @@ class GfMatrix:
         return f"GfMatrix({self.field!r}, {self.array.tolist()!r})"
 
 
+def _add_multiples(f: GF, x: np.ndarray, coef: np.ndarray,
+                   row: np.ndarray) -> np.ndarray:
+    """x plus coef[i] times `row` in each row i: every elimination's step."""
+    if not coef.any():
+        return x
+    return f.vadd(x, f.mul_table[coef[:, None], row[None, :]])
+
+
+def _mark_rref(mat: GfMatrix, pivots) -> GfMatrix:
+    """Mark a matrix built in canonical RREF with these pivots as its rref."""
+    mat._rref = (mat, tuple(map(int, pivots)))
+    return mat
+
+
 def _require_same_field(a: GfMatrix, b: GfMatrix) -> None:
     if a.field != b.field:
         raise ValueError("matrices belong to different fields")
-
-
-def _require_compatible(a: GfMatrix, b: GfMatrix) -> None:
-    _require_same_field(a, b)
-    if a.cols != b.cols:
-        raise ValueError(f"column counts differ: {a.cols} vs {b.cols}")
 
 
 def row_space_intersect(a: GfMatrix, b: GfMatrix) -> GfMatrix:
@@ -196,7 +211,9 @@ def row_space_intersect(a: GfMatrix, b: GfMatrix) -> GfMatrix:
     block.  Cross-checked elsewhere against the dimension identity
     dim(U+V) + dim(U n V) = dim U + dim V.
     """
-    _require_compatible(a, b)
+    _require_same_field(a, b)
+    if a.cols != b.cols:
+        raise ValueError(f"column counts differ: {a.cols} vs {b.cols}")
     f, nc = a.field, a.cols
     if a.rows == 0 or b.rows == 0:
         return GfMatrix.zeros(f, 0, nc)

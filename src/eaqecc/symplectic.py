@@ -70,9 +70,8 @@ def symplectic_product(field: GF, x, y) -> int:
         if v.size and (v.min() < 0 or v.max() >= field.q):
             raise ValueError(f"vector entries must be codes in 0..{field.q - 1}")
     n = xv.size // 2
-    ad = field.vdot(xv[:n], yv[n:])
-    bc = field.vdot(xv[n:], yv[:n])
-    return field.sub(ad, bc)
+    crossed = np.concatenate([yv[n:], field.neg_table[yv[:n]]])  # (d | -c)
+    return int(field.vsum(field.mul_table[xv, crossed], axis=0))
 
 
 def symplectic_weight(x) -> int:
@@ -125,16 +124,13 @@ class LinearCode:
     def __init__(self, field: GF, n: int, rows=None) -> None:
         if n < 0:
             raise ValueError("block length n must be nonnegative")
-        if rows is None:
-            mat = GfMatrix.zeros(field, 0, 2 * n)
-        elif isinstance(rows, GfMatrix):
+        if isinstance(rows, GfMatrix):
             if rows.field != field:
                 raise ValueError("basis matrix belongs to a different field")
             mat = rows
         else:
-            data = [list(r) for r in rows]
-            mat = (GfMatrix(field, data) if data
-                   else GfMatrix.zeros(field, 0, 2 * n))
+            data = [] if rows is None else [list(r) for r in rows]
+            mat = GfMatrix(field, data) if data else GfMatrix.zeros(field, 0, 2 * n)
         if mat.cols != 2 * n:
             raise ValueError(f"basis needs 2n = {2 * n} columns, got {mat.cols}")
         self.field = field

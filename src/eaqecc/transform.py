@@ -3,12 +3,11 @@ entanglement-assisted construction with its machine checks.
 
 Puncturing at position i deletes the paired coordinates (i, n+i) from
 every codeword; shortening first restricts to the codewords vanishing
-there, which on a canonical basis takes one column clear per selected
-column and no elimination.  Starting from a self-orthogonal code C whose
-dual has minimum symplectic weight d, puncturing any set of l <= d-1
-positions yields an entanglement-assisted stabilizer code that keeps k
-while trading the l removed pairs for l units of preshared entanglement,
-and the new dual's minimum weight stays at least d.
+there (`GfMatrix.vanishing_at`).  Starting from a self-orthogonal code C
+whose dual has minimum symplectic weight d, puncturing any set of
+l <= d-1 positions yields an entanglement-assisted stabilizer code that
+keeps k while trading the l removed pairs for l units of preshared
+entanglement, and the new dual's minimum weight stays at least d.
 
 `construct_eaqecc` performs that construction and re-verifies each clause
 on the concrete instance, `verify_lemmas` checks the supporting
@@ -26,10 +25,9 @@ code's coordinates.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Iterable
-
-import numpy as np
 
 from .matrix import GfMatrix
 from .symplectic import DEFAULT_CAP, CodeParams, LinearCode
@@ -37,6 +35,13 @@ from .symplectic import DEFAULT_CAP, CodeParams, LinearCode
 PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
+
+
+def parse_int(text: str) -> int:
+    """int(text) for ASCII digits and an optional '-' only, refused as by int."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 class PositionSet:
@@ -57,7 +62,7 @@ class PositionSet:
         """Parse a comma-separated list such as '1,3'."""
         items = [t.strip() for t in text.split(",") if t.strip()]
         try:
-            return cls(int(t) for t in items)
+            return cls(parse_int(t) for t in items)
         except ValueError as exc:
             raise ValueError(f"bad position list {text!r}: {exc}") from exc
 
@@ -159,27 +164,11 @@ def puncture(code: LinearCode, positions) -> LinearCode:
 
 
 def shorten(code: LinearCode, positions) -> LinearCode:
-    """Restrict to codewords vanishing on the selected pairs, then delete them.
-
-    A column clear on the canonical basis: the last row nonzero at a
-    selected column (the one with the rightmost pivot) clears it from the
-    other rows and is dropped.  That row is zero at every other pivot
-    column, so the rows stay canonical and no elimination is needed.
-    """
+    """Restrict to codewords vanishing on the selected pairs, then delete them."""
     pset = _as_positions(positions)
     pset.validate_for(code.n)
-    f = code.field
-    cols = pset.columns(code.n)
-    a = code.basis.array
-    for c in cols:
-        nonzero = np.flatnonzero(a[:, c])
-        if nonzero.size:
-            s = nonzero[-1]
-            factors = f.mul_table[f.neg_table[a[:, c]], f.inv_table[a[s, c]]]
-            a = np.delete(f.vadd(a, f.mul_table[factors[:, None], a[s][None, :]]),
-                          s, axis=0)
-    return LinearCode(f, code.n - len(pset),
-                      GfMatrix(f, np.delete(a, cols, axis=1)))
+    return LinearCode(code.field, code.n - len(pset),
+                      code.basis.vanishing_at(pset.columns(code.n)))
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import eaqecc
 from eaqecc import (FAIL, PASS, VACUOUS, CapExceededError, CheckResult,
                     CodeFileError, GF, LinearCode, PositionSet, TheoremReport,
-                    construct_eaqecc, random_self_orthogonal, verify_lemmas)
+                    construct_eaqecc, puncture, random_self_orthogonal,
+                    shorten, verify_lemmas)
 from eaqecc.cli import (bundled_code_path, code_to_dict, emit_report, main,
                         parse_code_file, serialize_code)
 from eaqecc import transform
@@ -76,8 +77,12 @@ def test_parse_non_prime_power_order():
 
 
 @pytest.mark.parametrize("text", ["q 4\npoly 1 0 1\nn 2\n",
-                                  "q 2\npoly 7 7 7 7\nn 1\n1 | 0\n"],
-                         ids=["reducible", "prime-field"])
+                                  "q 2\npoly 7 7 7 7\nn 1\n1 | 0\n",
+                                  "q 4\npoly 1 +1 1\nn 2\n",
+                                  "q 4\npoly 1 1 0_1\nn 2\n",
+                                  "q 4\npoly \u0661 1 1\nn 2\n"],
+                         ids=["reducible", "prime-field", "plus-sign",
+                              "underscore", "non-ascii-digit"])
 def test_parse_bad_polynomial(text):
     with pytest.raises(CodeFileError) as err:
         parse_code_file(text)
@@ -119,7 +124,11 @@ def test_round_trip_random_codes():
         f = rng.choice(fields)
         n = rng.randrange(1, 6)
         code = random_code(f, n, rng.randrange(0, n + 2), rng)
-        assert parse_code_file(serialize_code(code)) == code
+        # At most n - 1 positions: the format has no code of length 0.
+        positions = rng.sample(range(1, n + 1), rng.randrange(0, n))
+        for derived in (code, code.dual(), puncture(code, positions),
+                        shorten(code, positions)):
+            assert parse_code_file(serialize_code(derived)) == derived
 
 
 # ---------------------------------------------------------------------
@@ -352,6 +361,43 @@ def test_cli_nonpositive_cap_rejected(capsys):
     assert main(["params", str(SAMPLE), "--cap", "0"]) == 2
 
 
+# (code file or None for the bundled sample, arguments after the file,
+# the end of stderr).  `int` would take every one of these integers.
+LOOSE_INTEGERS = [
+    ("q 1_1\nn +1\n\u0663 | 1_0\n", ["params"],
+     "error: line 1, col 3: field order must be an integer, got '1_1'"),
+    ("q 2\nn +1\n1 | 0\n", ["params"],
+     "error: line 2, col 3: block length must be an integer, got '+1'"),
+    ("q 3\nn 2\n0 \u0663 | 0 0\n", ["params"],
+     "error: line 3, col 3: entry must be an integer, got '\u0663'"),
+    (None, ["shorten", "--positions", " +2,\u0663"],
+     "error: bad position list ' +2,\u0663': "
+     "invalid literal for int() with base 10: '+2'"),
+    (None, ["params", "--cap", "1_0"], "argument --cap: invalid int value: '1_0'"),
+    (None, ["search", "--ell", "+1"], "argument --ell: invalid int value: '+1'"),
+    (None, ["search", "--ell", "1", "--limit", " 3"],
+     "argument --limit: invalid int value: ' 3'"),
+]
+
+
+@pytest.mark.parametrize("text,args,error", LOOSE_INTEGERS,
+                         ids=["file-q", "file-n", "file-entry", "positions",
+                              "cap", "ell", "limit"])
+def test_cli_rejects_loose_integers(tmp_path, capsys, text, args, error):
+    path = SAMPLE
+    if text is not None:
+        path = tmp_path / "loose.txt"
+        path.write_text(text, encoding="utf-8")
+    try:
+        status = main([args[0], str(path), *args[1:]])
+    except SystemExit as exc:  # argparse refuses the option
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.endswith(error + "\n")
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("q 6\nn 2\n")
@@ -551,3 +597,19 @@ def test_cli_exit_code_contract_property(tmp_path_factory, text, cap, fmt,
             assert err.getvalue().endswith("\n"), argv
         else:
             assert err.getvalue() == "", argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=code_files(), at=st.integers(0, 40),
+       junk=st.one_of(st.text(max_size=4), st.sampled_from(
+           ["+1", "1_0", "\u0663", "4611686018427387904", "\n", "#", "|"])))
+# n = 2^62 + 1: numpy has no axis of 2n columns.
+@example(text="q 2\nn 1\n", at=6, junk="4611686018427387904")
+def test_parse_arbitrary_text_round_trips_or_is_refused(text, at, junk):
+    """Code files with arbitrary text spliced in parse to a code that
+    round-trips through `serialize_code`, or raise CodeFileError."""
+    try:
+        code = parse_code_file(text[:at] + junk + text[at:])
+    except CodeFileError:
+        return
+    assert parse_code_file(serialize_code(code)) == code

@@ -39,7 +39,7 @@ def rand_matrix(f, rows, cols, rng):
 # rref and rank
 # ---------------------------------------------------------------------
 def test_rref_identity(gf2):
-    eye = GfMatrix.identity(gf2, 4)
+    eye = GfMatrix(gf2, np.eye(4, dtype=int))
     reduced, pivots = eye.rref()
     assert reduced == eye
     assert pivots == (0, 1, 2, 3)
@@ -60,7 +60,7 @@ def test_rref_five_qubit_basis(gf2):
 
 
 def test_rank_examples(gf3):
-    assert GfMatrix.identity(gf3, 5).rank() == 5
+    assert GfMatrix(gf3, np.eye(5, dtype=int)).rank() == 5
     assert GfMatrix(gf3, [[1, 2, 0], [1, 2, 0]]).rank() == 1
 
 
@@ -68,7 +68,7 @@ def test_rref_scales_pivot_rows():
     gf5 = FIELDS[5]
     reduced, pivots = GfMatrix(gf5, [[2, 4], [0, 3]]).rref()
     assert pivots == (0, 1)
-    assert reduced == GfMatrix.identity(gf5, 2)
+    assert reduced == GfMatrix(gf5, np.eye(2, dtype=int))
 
 
 def test_entry_validation(gf3):
@@ -92,11 +92,21 @@ def test_integer_arrays_of_any_width_are_accepted(gf3):
 # nullspace
 # ---------------------------------------------------------------------
 def test_nullspace_identity(gf2):
-    assert GfMatrix.identity(gf2, 3).nullspace().rows == 0
+    assert GfMatrix(gf2, np.eye(3, dtype=int)).nullspace().rows == 0
 
 
 def test_nullspace_parity(gf2):
     assert GfMatrix(gf2, [[1, 1]]).nullspace() == GfMatrix(gf2, [[1, 1]])
+
+
+def test_vanishing_at_reduces_a_raw_matrix_first(gf3):
+    # Rows (1 1 0), (1 2 1): the words zero at column 0 are the multiples
+    # of (0 1 1); only the zero word vanishes at all three, a 0 x 0 basis.
+    raw = GfMatrix(gf3, [[1, 1, 0], [1, 2, 1]])
+    kept = raw.vanishing_at([0])
+    assert kept.rref() == (GfMatrix(gf3, [[1, 1]]), (0,))
+    assert GfMatrix(gf3, kept.array).rref() == kept.rref()
+    assert raw.vanishing_at([0, 1, 2]).rref() == (GfMatrix.zeros(gf3, 0, 0), ())
 
 
 def test_nullspace_of_symplectic_product_matrix(gf2):
@@ -176,7 +186,7 @@ def test_rank_nullity(mat):
 def test_nullspace_annihilates(mat):
     kernel = mat.nullspace()
     if kernel.rows and mat.rows:
-        assert (mat @ kernel.transpose()).is_zero()
+        assert not (mat @ kernel.transpose()).array.any()
     # The kernel comes back canonical: a fresh elimination keeps it as is.
     assert GfMatrix(mat.field, kernel.array).canonical() == kernel
 
